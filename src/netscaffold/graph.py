@@ -40,7 +40,9 @@ def as_weight(value: object) -> Fraction:
 
     Strings go through ``Fraction`` directly, so decimal notation is
     exact. Floats convert to their exact binary rational. Negative or
-    non-finite values are rejected.
+    non-finite values are rejected, and so are values too large for a
+    float, because every writer emits a float column next to the exact
+    one.
     """
     try:
         if isinstance(value, float):
@@ -51,6 +53,7 @@ def as_weight(value: object) -> Fraction:
             w = Fraction(value.strip())
         else:
             raise TypeError(f"unsupported weight type {type(value).__name__}")
+        float(w)  # OverflowError past the float range
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise GraphFormatError(f"bad weight {value!r}: {exc}") from None
     if w < 0:
@@ -159,8 +162,12 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if not isinstance(header, dict):
             raise GraphFormatError("JSON header must be an object")
         if "n_vertices" in header:
-            n_declared = int(header["n_vertices"])
+            n_declared = header["n_vertices"]
+            if not isinstance(n_declared, int) or isinstance(n_declared, bool):
+                raise GraphFormatError(f"header n_vertices={n_declared!r} is not an integer")
         if "labels" in header:
+            if not isinstance(header["labels"], list):
+                raise GraphFormatError("header labels must be a list")
             labels = tuple(str(x) for x in header["labels"])
         lines = lines[1:]
 

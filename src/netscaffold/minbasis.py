@@ -2,11 +2,15 @@
 
 The pipeline per complex: annotate edges with Z2^beta1 homology
 coordinates, enumerate Horton candidate cycles from per-vertex
-shortest-path trees, then select a minimum basis greedily with support
-vectors. Cycles tied at the minimal length within the same class are
-reported together as a variant set ("draws"). Ties *across* classes
-that make the chosen class set ambiguous are detected separately and
-flagged as pathological, but never abort the run.
+shortest-path trees, then select a minimum basis in one greedy pass
+over the candidates sorted by (length, edge ids). Each candidate's
+class is reduced against the classes kept so far, and it is kept when
+the residue is nonzero. Which cycles are kept depends only on that
+order, not on the annotation coordinates. Cycles tied at the minimal
+length within the same class are reported together as a variant set
+("draws"). Ties *across* classes that make the chosen class set
+ambiguous come out of the same pass, one length level at a time, and
+are flagged as pathological, but never abort the run.
 
 Draw sets are draws within the Horton candidate pool; a tied
 representative that is not of shortest-path form is invisible here.
@@ -31,7 +35,6 @@ __all__ = [
     "annotate_edges",
     "horton_candidates",
     "min_basis_with_draws",
-    "debug_report",
 ]
 
 logger = logging.getLogger(__name__)
@@ -89,6 +92,10 @@ class PathologyEvent:
 
 @dataclass(frozen=True)
 class MinimalBasisWithDraws:
+    """One variant set per basis class, in ascending (length,
+    representative edge ids) order, plus the step's pathology events in
+    ascending level order."""
+
     beta1: int
     variant_sets: tuple[VariantSet, ...]
     pathology_events: tuple[PathologyEvent, ...]
@@ -389,13 +396,14 @@ def _fundamental_masks(
     return out
 
 
-def _mask_to_cycle(cx: FlagComplex2, mask: int, length: Fraction) -> Cycle:
+def _mask_to_ids(cx: FlagComplex2, mask: int) -> tuple[int, ...]:
+    """Ascending graph edge ids of a bitset of edge positions."""
     ids = []
     while mask:
         lsb = mask & -mask
         ids.append(cx.edge_ids[lsb.bit_length() - 1])
         mask ^= lsb
-    return Cycle(edges=tuple(sorted(ids)), length_mu=length)
+    return tuple(sorted(ids))
 
 
 def horton_candidates(
@@ -409,7 +417,8 @@ def horton_candidates(
     imu, denom = _scale_mu(_mu_by_pos(cx, mu_weights))
     found = _candidate_masks(cx, imu)
     cycles = [
-        _mask_to_cycle(cx, m, Fraction(l, denom)) for m, l in found.items()
+        Cycle(edges=_mask_to_ids(cx, m), length_mu=Fraction(l, denom))
+        for m, l in found.items()
     ]
     cycles.sort(key=lambda c: c.sort_key)
     return cycles
@@ -419,61 +428,14 @@ def horton_candidates(
 # basis selection
 
 
-def _parity(x: int) -> int:
-    return x.bit_count() & 1
-
-
-@dataclass(frozen=True)
-class _Cand:
-    mu: int  # scaled integer length
-    key: tuple[int, ...]
-    mask: int
-    ann: int
-
-
-def _pathology_scan(cands: list[_Cand]) -> list[tuple[int, int, int]]:
-    """Find levels where the new classes are dependent modulo shorter ones.
-
-    Within one length level, count the distinct classes not spanned by
-    strictly shorter candidates; if they are not jointly independent,
-    the greedy choice of classes at this level is arbitrary. Returns
-    (scaled level, distinct new classes, joint rank gain) triples.
-    """
-    events: list[tuple[int, int, int]] = []
-    span: dict[int, int] = {}  # pivot bit -> echelon vector
-
-    def reduce(x: int) -> int:
-        while x:
-            p = x.bit_length() - 1
-            if p not in span:
-                return x
-            x ^= span[p]
-        return 0
-
-    i = 0
-    while i < len(cands):
-        j = i
-        while j < len(cands) and cands[j].mu == cands[i].mu:
-            j += 1
-        level = cands[i:j]
-        new_classes = {c.ann for c in level if reduce(c.ann)}
-        if new_classes:
-            tmp = dict(span)
-            gained = 0
-            for a in sorted(new_classes):
-                x = a
-                while x:
-                    p = x.bit_length() - 1
-                    if p not in tmp:
-                        tmp[p] = x
-                        gained += 1
-                        break
-                    x ^= tmp[p]
-            if gained < len(new_classes):
-                events.append((cands[i].mu, len(new_classes), gained))
-            span.update(tmp)
-        i = j
-    return events
+def _reduce(span: dict[int, int], x: int) -> int:
+    """Residue of class x against an echelon span (pivot bit -> vector)."""
+    while x:
+        p = x.bit_length() - 1
+        if p not in span:
+            return x
+        x ^= span[p]
+    return 0
 
 
 def min_basis_with_draws(
@@ -481,12 +443,15 @@ def min_basis_with_draws(
 ) -> MinimalBasisWithDraws:
     """Minimum-length homology basis with tied-representative sets.
 
-    Selection is greedy over support vectors: round i picks the
-    shortest candidate with odd product against S_i, then updates later
-    supports to stay orthogonal to the pick. Equal-length candidates in
-    the picked class form the round's variant set. Cross-class
-    ambiguities are pre-scanned per length level and logged; ties are
-    then broken by edge-id order so the run stays deterministic.
+    One greedy pass over the candidates in (length, edge ids) order,
+    one length level at a time, keeps a candidate when its class is
+    independent of the classes kept so far. The kept candidates form
+    the unique minimum basis of the pool under that order. A kept
+    candidate's variant set is every candidate of its level with the
+    same class. A level that keeps fewer candidates than it has
+    distinct classes not spanned at its start is a pathology: which of
+    those classes enter the basis is decided only by edge-id order. It
+    is logged as a warning and recorded, never raised.
     """
     ednn = _annotate(cx)
     beta1 = ednn.beta1
@@ -499,95 +464,67 @@ def min_basis_with_draws(
     found = _candidate_masks(cx, imu)
     for mask, length in _fundamental_masks(cx, ednn.nt_mask, imu).items():
         found.setdefault(mask, length)
-    cands = []
+    # (scaled length, edge ids, class); edge id sets are distinct, so
+    # the tuples sort by (length, edge ids) and never compare classes
+    cands: list[tuple[int, tuple[int, ...], int]] = []
     for mask, length in found.items():
         ann = ednn.annotation_of_mask(mask)
-        if ann == 0:
-            continue  # boundary, never selectable
-        ids = []
-        m = mask
-        while m:
-            lsb = m & -m
-            ids.append(cx.edge_ids[lsb.bit_length() - 1])
-            m ^= lsb
-        cands.append(_Cand(mu=length, key=tuple(sorted(ids)), mask=mask, ann=ann))
-    cands.sort(key=lambda c: (c.mu, c.key))
+        if ann:  # a zero class is a boundary, never selectable
+            cands.append((length, _mask_to_ids(cx, mask), ann))
+    cands.sort()
 
-    events = tuple(
-        PathologyEvent(
-            level=Fraction(lv, denom), n_classes=nc, rank_increment=ri
-        )
-        for lv, nc, ri in _pathology_scan(cands)
-    )
-    for ev in events:
-        logger.warning(
-            "pathological draw tie at length %s: %d classes, rank gain %d",
-            ev.level,
-            ev.n_classes,
-            ev.rank_increment,
-        )
-
-    supports = [1 << i for i in range(beta1)]
-    variant_sets: list[VariantSet] = []
-    for i in range(beta1):
-        s = supports[i]
-        rep: _Cand | None = None
-        members: list[_Cand] = []
-        for c in cands:
-            if rep is not None and c.mu != rep.mu:
-                break
-            if _parity(c.ann & s):
-                if rep is None:
-                    rep = c
-                    members.append(c)
-                elif c.ann == rep.ann:
-                    members.append(c)
-        if rep is None:
-            # supports are a basis of the dual, so an odd candidate must
-            # exist whenever the Horton set spans the cycle space
-            raise RuntimeError(
-                f"no candidate with odd support product in round {i}"
-            )
-        assert _parity(rep.ann & s) == 1
-        for j in range(i + 1, beta1):
-            if _parity(rep.ann & supports[j]):
-                supports[j] ^= s
-        variant_sets.append(
-            VariantSet(
-                cycles=tuple(
-                    Cycle(edges=c.key, length_mu=Fraction(c.mu, denom))
-                    for c in members
+    span: dict[int, int] = {}
+    kept: list[VariantSet] = []
+    events: list[PathologyEvent] = []
+    i = 0
+    while i < len(cands) and len(kept) < beta1:
+        j = i
+        level = cands[i][0]
+        while j < len(cands) and cands[j][0] == level:
+            j += 1
+        length_mu = Fraction(level, denom)
+        # classes in order of their first (smallest edge ids) member
+        by_class: dict[int, list[tuple[int, ...]]] = {}
+        for _, ids, ann in cands[i:j]:
+            by_class.setdefault(ann, []).append(ids)
+        # not spanned at the start of the level
+        new_classes = [a for a in by_class if _reduce(span, a)]
+        gained = 0
+        for a in new_classes:
+            r = _reduce(span, a)
+            if r:
+                span[r.bit_length() - 1] = r
+                kept.append(
+                    VariantSet(
+                        cycles=tuple(
+                            Cycle(edges=ids, length_mu=length_mu)
+                            for ids in by_class[a]
+                        )
+                    )
                 )
+                gained += 1
+        if gained < len(new_classes):
+            ev = PathologyEvent(
+                level=length_mu,
+                n_classes=len(new_classes),
+                rank_increment=gained,
             )
+            logger.warning(
+                "pathological draw tie at length %s: %d classes, rank gain %d",
+                ev.level,
+                ev.n_classes,
+                ev.rank_increment,
+            )
+            events.append(ev)
+        i = j
+    if len(kept) < beta1:
+        # unreachable while the fundamental cycles, which span every
+        # class, are in the pool
+        raise RuntimeError(
+            f"candidate pool spans {len(kept)} of {beta1} classes"
         )
-
     return MinimalBasisWithDraws(
         beta1=beta1,
-        variant_sets=tuple(variant_sets),
-        pathology_events=events,
+        variant_sets=tuple(kept),
+        pathology_events=tuple(events),
     )
-
-
-def debug_report(mb: MinimalBasisWithDraws) -> dict:
-    """JSON-ready summary: per-round length and draw size, pathologies."""
-    return {
-        "beta1": mb.beta1,
-        "rounds": [
-            {
-                "length_mu": str(vs.length_mu),
-                "n_draws": len(vs),
-                "representative": list(vs.representative.edges),
-                "members": [list(c.edges) for c in vs.cycles],
-            }
-            for vs in mb.variant_sets
-        ],
-        "pathologies": [
-            {
-                "level": str(ev.level),
-                "n_classes": ev.n_classes,
-                "rank_increment": ev.rank_increment,
-            }
-            for ev in mb.pathology_events
-        ],
-        "total_length_mu": str(mb.total_length()),
-    }

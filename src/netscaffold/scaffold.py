@@ -21,7 +21,7 @@ from fractions import Fraction
 from .complexes import flag_complex_at
 from .graph import Filtration, WeightedGraph
 from .minbasis import MinimalBasisWithDraws, PathologyEvent, min_basis_with_draws
-from .persistence import Barcode, bars_alive_at, compute_persistence, ph1_generators
+from .persistence import bars_alive_at, compute_persistence
 
 __all__ = [
     "Scaffold",
@@ -67,12 +67,8 @@ class Scaffold:
         return Fraction(0)
 
 
-def _beta1_profile(f: Filtration, barcode: Barcode) -> tuple[tuple[Fraction, int], ...]:
-    return tuple((eps, bars_alive_at(barcode, eps, 1)) for eps in f.steps)
-
-
 def _finalize(
-    n: int, acc: dict[tuple[int, int], Fraction]
+    acc: dict[tuple[int, int], Fraction],
 ) -> tuple[tuple[int, int, Fraction], ...]:
     return tuple(
         (u, v, w) for (u, v), w in sorted(acc.items()) if w != 0
@@ -98,8 +94,10 @@ def loose_scaffold(f: Filtration, include_essential: bool = True) -> Scaffold:
     return Scaffold(
         provenance="loose",
         n_vertices=g.n_vertices,
-        edge_weights=_finalize(g.n_vertices, acc),
-        beta1_profile=_beta1_profile(f, barcode),
+        edge_weights=_finalize(acc),
+        beta1_profile=tuple(
+            (eps, bars_alive_at(barcode, eps, 1)) for eps in f.steps
+        ),
     )
 
 
@@ -158,12 +156,13 @@ def _aggregate_minimal(
                 for eid in cyc.edges:
                     u, v, _ = g.edges[eid]
                     acc[(u, v)] = acc.get((u, v), Fraction(0)) + share
-    barcode = compute_persistence(f)
+    # steps without a basis job carry no dim-1 class
+    beta1 = {eps: mb.beta1 for eps, mb in results}
     return Scaffold(
         provenance="minimal_with_draws" if draws else "minimal",
         n_vertices=g.n_vertices,
-        edge_weights=_finalize(g.n_vertices, acc),
-        beta1_profile=_beta1_profile(f, barcode),
+        edge_weights=_finalize(acc),
+        beta1_profile=tuple((eps, beta1.get(eps, 0)) for eps in f.steps),
         pathology_events=tuple(events),
         variant_histogram=tuple(sorted(hist.items())),
     )

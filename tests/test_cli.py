@@ -177,9 +177,20 @@ class TestScaffoldCommand:
         )
         assert code == EXIT_IO
 
-    def test_malformed_input_is_data_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0,1\n",
+            '{"n_vertices": null}\n0,1,1\n',
+            '{"labels": 5}\n0,1,1\n',
+            # the square dies at 1e400, past the float range
+            "0,1,1\n1,2,1\n2,3,1\n0,3,1\n0,2,1e400\n",
+        ],
+        ids=["short_row", "null_n_vertices", "scalar_labels", "overflow_weight"],
+    )
+    def test_malformed_input_is_data_error(self, tmp_path, text):
         path = tmp_path / "bad.edges"
-        path.write_text("0,1\n")
+        path.write_text(text)
         code = main(
             ["scaffold", "--input", str(path), "--output-dir", str(tmp_path / "out")]
         )

@@ -14,7 +14,6 @@ from netscaffold.minbasis import (
     PathologyEvent,
     VariantSet,
     annotate_edges,
-    debug_report,
     horton_candidates,
     min_basis_with_draws,
 )
@@ -345,12 +344,38 @@ class TestDeterminismAndInvariance:
         )
 
 
-class TestDebugReport:
-    def test_report_shape(self, diamond_with_tail):
-        mb = min_basis_with_draws(full_complex(diamond_with_tail))
-        rep = debug_report(mb)
-        assert rep["beta1"] == 1
-        assert rep["rounds"][0]["n_draws"] == 2
-        assert rep["rounds"][0]["length_mu"] == "5"
-        assert rep["total_length_mu"] == "5"
-        assert rep["pathologies"] == []
+class TestGreedyContract:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_order_and_prefix_span_on_ties(self, seed):
+        # integer weights 1..3 make many equal-length cycles and levels
+        rng = random.Random(4000 + seed)
+        n = 8
+        g = make_graph(
+            n,
+            [
+                (u, v, rng.randint(1, 3))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.55
+            ],
+        )
+        for eps in sorted({w for _, _, w in g.edges}):
+            cx = flag_complex_at(g, eps)
+            mb = min_basis_with_draws(cx)
+            keys = [vs.representative.sort_key for vs in mb.variant_sets]
+            assert keys == sorted(keys)
+            _, ann_by_id = annotate_edges(cx)
+
+            def ann(cyc):
+                a = 0
+                for eid in cyc.edges:
+                    a ^= ann_by_id[eid]
+                return a
+
+            reps = [(rep.sort_key, ann(rep)) for rep in mb.representatives()]
+            for cand in horton_candidates(cx):
+                a = ann(cand)
+                if a == 0:
+                    continue
+                prefix = [r for k, r in reps if k <= cand.sort_key]
+                assert gf2_rank_lowbit(prefix + [a]) == gf2_rank_lowbit(prefix)

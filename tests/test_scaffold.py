@@ -160,9 +160,15 @@ class TestStepBases:
     def test_profile_matches_live_counts(self, seed):
         g = random_graph(seed)
         f = build_filtration(g)
-        s = loose_scaffold(f)
-        for eps, live in s.beta1_profile:
-            assert live == betti1_at(flag_complex_at(g, eps))
+        results = step_bases(f)
+        for s in (
+            loose_scaffold(f),
+            minimal_scaffold(f, results=results),
+            minimal_scaffold_with_draws(f, results=results),
+        ):
+            assert [eps for eps, _ in s.beta1_profile] == list(f.steps)
+            for eps, live in s.beta1_profile:
+                assert live == betti1_at(flag_complex_at(g, eps))
 
     @pytest.mark.parametrize("seed", [0, 3, 5])
     def test_worker_count_never_changes_results(self, seed):
