@@ -20,14 +20,13 @@ from .graph import (
     relabel,
     serialize_edge_list,
 )
-from .complexes import FlagComplex2, Simplex, complexes_along, flag_complex_at
+from .complexes import FlagComplex2, flag_complex_at
 from .persistence import (
     Barcode,
     PersistencePair,
     bars_alive_at,
     betti1_at,
     compute_persistence,
-    ph1_generators,
 )
 from .minbasis import (
     Cycle,
@@ -80,15 +79,12 @@ __all__ = [
     "relabel",
     "serialize_edge_list",
     "FlagComplex2",
-    "Simplex",
-    "complexes_along",
     "flag_complex_at",
     "Barcode",
     "PersistencePair",
     "bars_alive_at",
     "betti1_at",
     "compute_persistence",
-    "ph1_generators",
     "Cycle",
     "MinimalBasisWithDraws",
     "PathologyEvent",

@@ -173,11 +173,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
             params = {"n": args.n, "threshold": args.threshold, "dim": args.dim}
         elif args.model == "er":
             params = {"n": args.n, "m": args.m}
-        missing = [k for k, v in params.items() if v is None]
-        if missing:
-            raise GraphFormatError(
-                f"model {args.model!r} needs --{', --'.join(missing)}"
-            )
         config = GeneratorConfig(model=args.model, params=params, seed=args.seed)
     g = generate(config)
     _write(Path(args.out), serialize_edge_list(g))

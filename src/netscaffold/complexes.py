@@ -1,59 +1,47 @@
 """Vietoris-Rips flag complexes of weighted graphs, truncated at dimension 2.
 
-Only vertices, edges and triangles are ever built: homology in degree 1
-needs nothing above the 2-skeleton. A triangle enters the filtration at
-the largest of its three edge weights.
+Only vertices, edges and triangles are built: homology in degree 1 needs
+nothing above the 2-skeleton. Each distinct edge weight is replaced by
+its rank in the sorted weights; edges are ordered by (rank, vertex pair)
+and triangles by (largest edge rank, vertex triple), so a triangle
+enters at its largest edge weight. Ranks are monotone in weight, so the
+complex at a smaller threshold is a prefix of both orders, with every
+edge at the same position: ``FlagComplex2.at`` slices it out instead of
+rebuilding.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import Filtration, WeightedGraph
+from .graph import WeightedGraph
 
-__all__ = ["Simplex", "FlagComplex2", "flag_complex_at", "complexes_along"]
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """Vertex tuple (ascending) plus the threshold at which it appears."""
-
-    vertices: tuple[int, ...]
-    filtration_value: Fraction
-
-    def __post_init__(self) -> None:
-        if list(self.vertices) != sorted(set(self.vertices)):
-            raise ValueError(f"vertices not strictly ascending: {self.vertices}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
+__all__ = ["FlagComplex2", "flag_complex_at"]
 
 
 @dataclass(frozen=True)
 class FlagComplex2:
     """2-skeleton of the flag complex of ``graph`` at threshold ``epsilon``.
 
-    ``edge_ids`` index into ``graph.edges`` and are ordered by
-    (weight, vertex pair); ``triangles`` are vertex triples ordered by
-    (appearance value, vertex triple). All vertices of the graph are
+    ``weights`` are the distinct edge weights present, ascending; a rank
+    indexes into it. ``edge_ids`` index into ``graph.edges`` and are
+    ordered by (rank, vertex pair), with ``edge_ranks`` alongside.
+    ``triangles`` are vertex triples ordered by (rank, vertex triple),
+    with ``triangle_ranks`` alongside. All vertices of the graph are
     present regardless of epsilon.
     """
 
     epsilon: Fraction
     graph: WeightedGraph
+    weights: tuple[Fraction, ...]
     edge_ids: tuple[int, ...]
+    edge_ranks: tuple[int, ...]
     triangles: tuple[tuple[int, int, int], ...]
-    # pair -> position in edge_ids; filled in __post_init__
-    _edge_pos: dict[tuple[int, int], int] = field(
-        default_factory=dict, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        for pos, eid in enumerate(self.edge_ids):
-            u, v, _ = self.graph.edges[eid]
-            self._edge_pos[(u, v)] = pos
+    triangle_ranks: tuple[int, ...]
+    # pair -> position in edge_ids; shared with every prefix view
+    _edge_pos: dict[tuple[int, int], int] = field(repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -78,58 +66,63 @@ class FlagComplex2:
         """Position of edge {u,v} in this complex; KeyError if absent."""
         if u > v:
             u, v = v, u
-        return self._edge_pos[(u, v)]
+        pos = self._edge_pos[(u, v)]
+        if pos >= len(self.edge_ids):
+            raise KeyError((u, v))
+        return pos
 
-    def triangle_value(self, tri: tuple[int, int, int]) -> Fraction:
-        u, v, w = tri
-        return max(
-            self.edge_weight(self.edge_position(u, v)),
-            self.edge_weight(self.edge_position(u, w)),
-            self.edge_weight(self.edge_position(v, w)),
+    def at(self, epsilon: Fraction) -> FlagComplex2:
+        """The subcomplex at a threshold no larger than this one's.
+
+        It equals ``flag_complex_at(graph, epsilon)``, but is a prefix
+        slice of this complex: no simplex is rebuilt or re-sorted.
+        """
+        if epsilon > self.epsilon:
+            raise ValueError(f"threshold {epsilon} above {self.epsilon}")
+        r = bisect_right(self.weights, epsilon)  # ranks below r are kept
+        n_e = bisect_right(self.edge_ranks, r - 1)
+        n_t = bisect_right(self.triangle_ranks, r - 1)
+        return FlagComplex2(
+            epsilon=epsilon,
+            graph=self.graph,
+            weights=self.weights[:r],
+            edge_ids=self.edge_ids[:n_e],
+            edge_ranks=self.edge_ranks[:n_e],
+            triangles=self.triangles[:n_t],
+            triangle_ranks=self.triangle_ranks[:n_t],
+            _edge_pos=self._edge_pos,
         )
-
-    def edge_simplices(self) -> tuple[Simplex, ...]:
-        return tuple(
-            Simplex(self.edge_vertices(p), self.edge_weight(p))
-            for p in range(self.n_edges)
-        )
-
-    def triangle_simplices(self) -> tuple[Simplex, ...]:
-        return tuple(Simplex(t, self.triangle_value(t)) for t in self.triangles)
 
 
 def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
     """2-truncated flag complex at threshold epsilon (edges with w <= epsilon)."""
-    kept = [i for i, (_, _, w) in enumerate(g.edges) if w <= epsilon]
-    # order: (weight, vertex pair)
-    kept.sort(key=lambda i: (g.edges[i][2], g.edges[i][0], g.edges[i][1]))
+    weights = tuple(sorted({w for _, _, w in g.edges if w <= epsilon}))
+    rank = {w: r for r, w in enumerate(weights)}
+    edges = sorted(
+        (rank[w], u, v, i) for i, (u, v, w) in enumerate(g.edges) if w <= epsilon
+    )
 
     adj: list[set[int]] = [set() for _ in range(g.n_vertices)]
-    wmap: dict[tuple[int, int], Fraction] = {}
-    for i in kept:
-        u, v, w = g.edges[i]
+    rank_of_pair: dict[tuple[int, int], int] = {}
+    for r, u, v, _ in edges:
         adj[u].add(v)
         adj[v].add(u)
-        wmap[(u, v)] = w
-
-    tris: list[tuple[Fraction, tuple[int, int, int]]] = []
-    for (u, v), w_uv in wmap.items():
-        # common neighbors above v: each triangle found exactly once, u<v<t
-        for t in sorted(adj[u] & adj[v]):
-            if t <= v:
-                continue
-            fval = max(w_uv, wmap[(u, t)], wmap[(v, t)])
-            tris.append((fval, (u, v, t)))
-    tris.sort()
+        rank_of_pair[(u, v)] = r
+    # common neighbors above v: each triangle found exactly once, u<v<t
+    tris = sorted(
+        (max(r_uv, rank_of_pair[(u, t)], rank_of_pair[(v, t)]), (u, v, t))
+        for (u, v), r_uv in rank_of_pair.items()
+        for t in adj[u] & adj[v]
+        if t > v
+    )
 
     return FlagComplex2(
         epsilon=epsilon,
         graph=g,
-        edge_ids=tuple(kept),
+        weights=weights,
+        edge_ids=tuple(e[3] for e in edges),
+        edge_ranks=tuple(e[0] for e in edges),
         triangles=tuple(t for _, t in tris),
+        triangle_ranks=tuple(r for r, _ in tris),
+        _edge_pos={(e[1], e[2]): p for p, e in enumerate(edges)},
     )
-
-
-def complexes_along(f: Filtration) -> list[FlagComplex2]:
-    """One complex per filtration step, in step order."""
-    return [flag_complex_at(f.source, eps) for eps in f.steps]

@@ -23,7 +23,6 @@ __all__ = [
     "PersistencePair",
     "Barcode",
     "compute_persistence",
-    "ph1_generators",
     "betti1_at",
     "bars_alive_at",
     "barcode_to_csv",
@@ -62,20 +61,18 @@ def compute_persistence(f: Filtration) -> Barcode:
     n = g.n_vertices
 
     # global order: vertices (born at 0), then edges and triangles by
-    # (value, dimension, vertex tuple); vertices occupy indices 0..n-1
-    entries: list[tuple[Fraction, int, tuple[int, ...]]] = []
-    for p in range(cx.n_edges):
-        entries.append((cx.edge_weight(p), 1, cx.edge_vertices(p)))
-    for t in cx.triangles:
-        entries.append((cx.triangle_value(t), 2, t))
+    # (rank, dimension, vertex tuple); vertices occupy indices 0..n-1
+    entries: list[tuple[int, int, tuple[int, ...]]] = [
+        (r, 1, cx.edge_vertices(p)) for p, r in enumerate(cx.edge_ranks)
+    ]
+    entries.extend((r, 2, t) for r, t in zip(cx.triangle_ranks, cx.triangles))
     entries.sort()
 
     index_of_edge: dict[tuple[int, int], int] = {}
     columns: list[int] = [0] * n  # vertex columns are empty
     fvals: list[Fraction] = [Fraction(0)] * n
     dims: list[int] = [0] * n
-    verts: list[tuple[int, ...]] = [(v,) for v in range(n)]
-    for fval, dim, vs in entries:
+    for r, dim, vs in entries:
         idx = len(columns)
         if dim == 1:
             index_of_edge[vs] = idx
@@ -88,9 +85,8 @@ def compute_persistence(f: Filtration) -> Barcode:
                 | (1 << index_of_edge[(v, w)])
             )
         columns.append(col)
-        fvals.append(fval)
+        fvals.append(cx.weights[r])
         dims.append(dim)
-        verts.append(vs)
 
     total = len(columns)
     pivot_owner: dict[int, int] = {}
@@ -173,19 +169,6 @@ def compute_persistence(f: Filtration) -> Barcode:
         )
     )
     return Barcode(pairs=tuple(pairs))
-
-
-def ph1_generators(
-    f: Filtration, include_essential: bool = True
-) -> list[tuple[Cycle, Fraction]]:
-    """(generator cycle, birth) per dim-1 bar, in barcode order."""
-    out = []
-    for p in compute_persistence(f).in_dim(1):
-        if p.death is None and not include_essential:
-            continue
-        assert p.generator is not None
-        out.append((p.generator, p.birth))
-    return out
 
 
 def betti1_at(cx) -> int:

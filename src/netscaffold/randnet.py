@@ -192,25 +192,45 @@ def correlation_graph(mat: np.ndarray) -> WeightedGraph:
     return make_graph(n, edges)
 
 
+# required params per model; rgg also takes an optional "dim"
+MODEL_PARAMS = {"ws": ("n", "k", "p"), "rgg": ("n", "threshold"), "er": ("n", "m")}
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Declarative generator request, JSON round-trippable."""
+    """Declarative generator request, JSON round-trippable.
+
+    Construction checks the model and its required params, so a bad
+    config fails with ValueError before any generator runs.
+    """
 
     model: str
     params: dict = field(default_factory=dict)
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.model not in ("ws", "rgg", "er"):
+        if not isinstance(self.model, str) or self.model not in MODEL_PARAMS:
             raise ValueError(f"unknown model {self.model!r}")
+        if not isinstance(self.params, dict):
+            raise ValueError("generator params must be a JSON object")
+        missing = [k for k in MODEL_PARAMS[self.model] if self.params.get(k) is None]
+        if missing:
+            raise ValueError(f"model {self.model!r} needs {', '.join(missing)}")
+        for k, v in self.params.items():
+            if not isinstance(v, (int, float, str)):
+                raise ValueError(f"generator param {k!r} is not a number: {v!r}")
+        if not isinstance(self.seed, int):
+            raise ValueError(f"generator seed {self.seed!r} is not an integer")
 
     @classmethod
     def from_json(cls, text: str) -> "GeneratorConfig":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("generator config must be a JSON object")
         return cls(
-            model=raw["model"],
-            params=dict(raw.get("params", {})),
-            seed=int(raw.get("seed", 0)),
+            model=raw.get("model"),
+            params=raw.get("params", {}),
+            seed=raw.get("seed", 0),
         )
 
     def to_json(self) -> str:

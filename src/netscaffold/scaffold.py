@@ -18,8 +18,8 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import flag_complex_at
-from .graph import Filtration, WeightedGraph
+from .complexes import FlagComplex2, flag_complex_at
+from .graph import Filtration
 from .minbasis import MinimalBasisWithDraws, PathologyEvent, min_basis_with_draws
 from .persistence import bars_alive_at, compute_persistence
 
@@ -58,14 +58,6 @@ class Scaffold:
     def n_scaffold_edges(self) -> int:
         return len(self.edge_weights)
 
-    def weight_of(self, u: int, v: int) -> Fraction:
-        if u > v:
-            u, v = v, u
-        for a, b, w in self.edge_weights:
-            if (a, b) == (u, v):
-                return w
-        return Fraction(0)
-
 
 def _finalize(
     acc: dict[tuple[int, int], Fraction],
@@ -102,11 +94,10 @@ def loose_scaffold(f: Filtration, include_essential: bool = True) -> Scaffold:
 
 
 def _step_job(
-    args: tuple[WeightedGraph, Fraction, dict[int, Fraction] | None],
+    args: tuple[FlagComplex2, dict[int, Fraction] | None],
 ) -> tuple[Fraction, MinimalBasisWithDraws]:
-    g, eps, mu_weights = args
-    cx = flag_complex_at(g, eps)
-    return eps, min_basis_with_draws(cx, mu_weights)
+    cx, mu_weights = args
+    return cx.epsilon, min_basis_with_draws(cx, mu_weights)
 
 
 def step_bases(
@@ -117,19 +108,21 @@ def step_bases(
     """Minimum basis per filtration step, skipping steps with no cycles.
 
     The live-bar profile of the barcode tells which steps carry dim-1
-    classes; only those get a basis job. With workers > 1 the jobs run
-    in a process pool, in deterministic step order either way.
+    classes; only those get a basis job. The full complex is built once
+    and each job gets its step's prefix view of it. With workers > 1
+    the jobs run in a process pool; results come back in step order
+    either way.
     """
     barcode = compute_persistence(f)
     active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
-    jobs = [(f.source, eps, mu_weights) for eps in active]
-    if workers <= 1 or len(jobs) <= 1:
-        results = [_step_job(j) for j in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_step_job, jobs))
-    results.sort(key=lambda r: r[0])
-    return results
+    if not active:
+        return []
+    full = flag_complex_at(f.source, f.steps[-1])
+    jobs = ((full.at(eps), mu_weights) for eps in active)
+    if workers <= 1 or len(active) <= 1:
+        return [_step_job(j) for j in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_step_job, jobs))
 
 
 def _aggregate_minimal(

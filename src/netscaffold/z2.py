@@ -15,13 +15,11 @@ from .complexes import FlagComplex2
 
 __all__ = [
     "bits_from_indices",
-    "indices_from_bits",
     "low",
     "Z2Matrix",
     "boundary_matrix",
     "column_reduce",
     "rank",
-    "solve_in_span",
 ]
 
 
@@ -31,18 +29,6 @@ def bits_from_indices(indices: Iterable[int]) -> int:
     for i in indices:
         bits |= 1 << i
     return bits
-
-
-def indices_from_bits(bits: int) -> list[int]:
-    """Unpack a bitset column into ascending row indices."""
-    out = []
-    i = 0
-    while bits:
-        if bits & 1:
-            out.append(i)
-        bits >>= 1
-        i += 1
-    return out
 
 
 def low(bits: int) -> int:
@@ -119,33 +105,3 @@ def rank(m: Z2Matrix) -> int:
     """Z2 rank: nonzero columns after reduction."""
     reduced, _ = column_reduce(m)
     return sum(1 for c in reduced.columns if c)
-
-
-def solve_in_span(m: Z2Matrix, target: int) -> int | None:
-    """Express ``target`` as a XOR of columns of ``m``.
-
-    Returns a bitset over column indices (bit j set means column j is
-    used), or None when the target is outside the span. The combination
-    is whichever one the reduction order finds, not canonical.
-    """
-    cols = list(m.columns)
-    combos = [1 << j for j in range(len(cols))]
-    pivot_owner: dict[int, int] = {}
-    for j in range(len(cols)):
-        while cols[j]:
-            piv = low(cols[j])
-            owner = pivot_owner.get(piv)
-            if owner is None:
-                pivot_owner[piv] = j
-                break
-            cols[j] ^= cols[owner]
-            combos[j] ^= combos[owner]
-    residue = target
-    picked = 0
-    while residue:
-        owner = pivot_owner.get(low(residue))
-        if owner is None:
-            return None
-        residue ^= cols[owner]
-        picked ^= combos[owner]
-    return picked

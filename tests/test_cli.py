@@ -81,11 +81,32 @@ class TestGenerate:
         assert code == EXIT_OK
         assert parse_edge_list(out.read_text()) == gen_er_null(6, 5, seed=2)
 
-    def test_missing_params_is_data_error(self, tmp_path):
-        code = main(
-            ["generate", "--model", "ws", "--n", "10", "--out", str(tmp_path / "g")]
-        )
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["--model", "ws", "--n", "10"], None),
+            ([], [1]),
+            ([], {"model": "ws", "params": [1]}),
+            ([], {"model": "ws", "params": {"n": 5}}),
+            ([], {"params": {"n": 5, "m": 3}}),
+        ],
+        ids=[
+            "flag_missing_k_p",
+            "config_not_object",
+            "config_params_not_object",
+            "config_missing_k_p",
+            "config_no_model",
+        ],
+    )
+    def test_missing_params_is_data_error(self, tmp_path, capsys, argv, config):
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        code = main(["generate", *argv, "--out", str(tmp_path / "g")])
         assert code == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "g").exists()
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.edges", tmp_path / "b.edges"

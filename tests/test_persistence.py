@@ -16,7 +16,6 @@ from netscaffold.persistence import (
     barcode_to_json,
     betti1_at,
     compute_persistence,
-    ph1_generators,
 )
 
 from .conftest import SQRT2
@@ -86,8 +85,8 @@ class TestEssentialBars:
     def test_include_essential_flag(self):
         g = make_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
         f = build_filtration(g)
-        assert len(ph1_generators(f, include_essential=True)) == 1
-        assert ph1_generators(f, include_essential=False) == []
+        # one essential bar, no finite one
+        assert [p.death for p in compute_persistence(f).in_dim(1)] == [None]
 
     def test_theta(self, theta_graph):
         bars = compute_persistence(build_filtration(theta_graph)).in_dim(1)
@@ -150,7 +149,8 @@ class TestGenerators:
     @pytest.mark.parametrize("seed", range(12))
     def test_generators_are_cycles_born_at_birth(self, seed):
         g = random_graph(seed)
-        for cycle, birth in ph1_generators(build_filtration(g)):
+        for bar in compute_persistence(build_filtration(g)).in_dim(1):
+            cycle, birth = bar.generator, bar.birth
             degree = {}
             for eid in cycle.edges:
                 u, v, w = g.edges[eid]

@@ -13,14 +13,24 @@ from netscaffold.z2 import (
     bits_from_indices,
     boundary_matrix,
     column_reduce,
-    indices_from_bits,
     low,
     rank,
-    solve_in_span,
 )
 
 from .conftest import SQRT2
 from .oracles import gf2_rank_lowbit
+
+
+def indices_from_bits(bits: int) -> list[int]:
+    """Unpack a bitset column into ascending row indices."""
+    out = []
+    i = 0
+    while bits:
+        if bits & 1:
+            out.append(i)
+        bits >>= 1
+        i += 1
+    return out
 
 
 class TestBits:
@@ -75,27 +85,6 @@ class TestRank:
         shuffled = list(cols)
         rnd.shuffle(shuffled)
         assert rank(Z2Matrix(cols, 10)) == rank(Z2Matrix(shuffled, 10))
-
-
-class TestSolveInSpan:
-    def test_recovers_combination(self):
-        cols = [0b101, 0b011, 0b110]
-        m = Z2Matrix(columns=cols, n_rows=3)
-        target = cols[0] ^ cols[2]
-        picked = solve_in_span(m, target)
-        assert picked is not None
-        acc = 0
-        for j in indices_from_bits(picked):
-            acc ^= cols[j]
-        assert acc == target
-
-    def test_unsolvable_returns_none(self):
-        m = Z2Matrix(columns=[0b001, 0b011], n_rows=3)
-        assert solve_in_span(m, 0b100) is None
-
-    def test_zero_target_picks_nothing_needed(self):
-        m = Z2Matrix(columns=[0b1], n_rows=1)
-        assert solve_in_span(m, 0) == 0
 
 
 class TestBoundaryMatrices:
