@@ -20,12 +20,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from netscaffold.graph import build_filtration, orient_filtration, parse_edge_list
+from netscaffold.persistence import compute_persistence
 from netscaffold.scaffold import (
     minimal_scaffold,
     node_strength,
     rank_nodes,
     scaffold_report,
     scaffold_to_csv,
+    step_bases,
 )
 
 
@@ -42,7 +44,7 @@ def main():
     f = build_filtration(orient_filtration(g, "descending"))
     print(f"filtration has {len(f.steps)} steps")
 
-    s = minimal_scaffold(f, workers=4)
+    s = minimal_scaffold(f, step_bases(f, compute_persistence(f), workers=4))
     report = scaffold_report(s)
     print(f"minimal scaffold: {report['n_scaffold_edges']} edges")
     print(f"pathology events: {report['n_pathology_events']}")

@@ -15,8 +15,9 @@ import logging
 import sys
 
 from netscaffold.graph import build_filtration
+from netscaffold.persistence import compute_persistence
 from netscaffold.randnet import GeneratorConfig, gen_er_null, generate
-from netscaffold.scaffold import loose_scaffold, minimal_scaffold
+from netscaffold.scaffold import loose_scaffold, minimal_scaffold, step_bases
 from netscaffold.stats import compare_scaffolds
 
 # dense unit-weight nulls hit draw ties constantly; not interesting here
@@ -25,7 +26,9 @@ logging.getLogger("netscaffold.minbasis").setLevel(logging.ERROR)
 
 def both_scaffolds(g):
     f = build_filtration(g)
-    return minimal_scaffold(f, workers=4), loose_scaffold(f)
+    barcode = compute_persistence(f)
+    results = step_bases(f, barcode, workers=4)
+    return minimal_scaffold(f, results), loose_scaffold(f, barcode)
 
 
 def main():

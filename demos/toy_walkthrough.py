@@ -47,9 +47,11 @@ def main():
         death = "inf" if bar.death is None else str(bar.death)
         print(f"  birth {bar.birth}  death {death}  edges {bar.generator.edges}")
 
-    show("loose scaffold", loose_scaffold(f))
-    show("minimal scaffold", minimal_scaffold(f))
-    show("draws scaffold", minimal_scaffold_with_draws(f))
+    # one barcode feeds every scaffold; step_bases solves each step once
+    results = step_bases(f, barcode)
+    show("loose scaffold", loose_scaffold(f, barcode))
+    show("minimal scaffold", minimal_scaffold(f, results))
+    show("draws scaffold", minimal_scaffold_with_draws(f, results))
     print(
         "\nthe loop's two tied routes each carry 1/2 on the diamond sides;"
         "\nthe tail edges sit on both routes, so they keep the full 1"
@@ -65,7 +67,8 @@ def main():
             (0, 4, Fraction(3, 2)), (2, 4, Fraction(3, 2)),
         ],
     )
-    results = step_bases(build_filtration(theta))
+    f = build_filtration(theta)
+    results = step_bases(f, compute_persistence(f))
     print("\ntheta graph pathology events (also logged as warnings):")
     for eps, mb in results:
         for ev in mb.pathology_events:
@@ -74,7 +77,7 @@ def main():
                 f"length {ev.level}, joint rank gain {ev.rank_increment}"
             )
 
-    report = scaffold_report(minimal_scaffold_with_draws(build_filtration(theta)))
+    report = scaffold_report(minimal_scaffold_with_draws(f, results))
     print("\ntheta draws report:")
     for key in ("n_scaffold_edges", "variant_histogram", "n_pathology_events"):
         print(f"  {key}: {report[key]}")

@@ -45,6 +45,7 @@ from .scaffold import (
     node_strength,
     rank_nodes,
     scaffold_to_csv,
+    step_bases,
 )
 from .randnet import (
     GeneratorConfig,
@@ -99,6 +100,7 @@ __all__ = [
     "node_strength",
     "rank_nodes",
     "scaffold_to_csv",
+    "step_bases",
     "GeneratorConfig",
     "correlation_graph",
     "gen_er_null",

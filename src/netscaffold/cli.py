@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .graph import (
@@ -49,21 +48,6 @@ EXIT_IO = 3
 EXIT_DATA = 4
 
 WORKERS_ENV = "NETSCAFFOLD_WORKERS"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Argument bundle for the scaffold pipeline."""
-
-    input_path: Path
-    fmt: str
-    orientation: str
-    which: str
-    mu_mode: str
-    include_essential: bool
-    workers: int
-    seed: int
-    output_dir: Path
 
 
 def resolve_workers(cli_value: int | None) -> int:
@@ -108,38 +92,40 @@ def _ranking_csv(s: Scaffold) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_scaffold(cfg: RunConfig) -> int:
-    original, oriented = _read_graph(cfg.input_path, cfg.fmt, cfg.orientation)
+def cmd_scaffold(args: argparse.Namespace) -> int:
+    workers = resolve_workers(args.parallelism)
+    path = Path(args.input)
+    original, oriented = _read_graph(path, args.format, args.orientation)
     filtration = build_filtration(oriented)
-    mu = _mu_weights(original, cfg.mu_mode)
-    stem = cfg.input_path.stem
-    outdir = cfg.output_dir
+    stem = path.stem
+    outdir = Path(args.output_dir)
 
     barcode = compute_persistence(filtration)
     _write(outdir / f"{stem}_barcode.csv", barcode_to_csv(barcode))
     _write(outdir / f"{stem}_barcode.json", barcode_to_json(barcode))
 
     produced: dict[str, Scaffold] = {}
-    if cfg.which in ("loose", "all"):
+    if args.which in ("loose", "all"):
         produced["loose"] = loose_scaffold(
-            filtration, include_essential=cfg.include_essential
+            filtration, barcode, include_essential=args.essential == "include"
         )
-    if cfg.which in ("minimal", "draws", "all"):
-        results = step_bases(filtration, mu, cfg.workers)
-        if cfg.which in ("minimal", "all"):
-            produced["minimal"] = minimal_scaffold(filtration, results=results)
-        if cfg.which in ("draws", "all"):
+    if args.which in ("minimal", "draws", "all"):
+        mu = _mu_weights(original, args.mu_weights)
+        results = step_bases(filtration, barcode, mu, workers)
+        if args.which in ("minimal", "all"):
+            produced["minimal"] = minimal_scaffold(filtration, results)
+        if args.which in ("draws", "all"):
             produced["minimal_draws"] = minimal_scaffold_with_draws(
-                filtration, results=results
+                filtration, results
             )
 
     report: dict = {
-        "input": str(cfg.input_path),
-        "format": cfg.fmt,
-        "orientation": cfg.orientation,
-        "mu_weights": cfg.mu_mode,
-        "essential": "include" if cfg.include_essential else "exclude",
-        "seed": cfg.seed,
+        "input": str(path),
+        "format": args.format,
+        "orientation": args.orientation,
+        "mu_weights": args.mu_weights,
+        "essential": args.essential,
+        "seed": args.seed,
         "scaffolds": {},
     }
     for name, s in produced.items():
@@ -183,11 +169,9 @@ def _scaffold_pair(
     g: WeightedGraph, workers: int
 ) -> tuple[Scaffold, Scaffold]:
     filtration = build_filtration(g)
-    results = step_bases(filtration, None, workers)
-    return (
-        minimal_scaffold(filtration, results=results),
-        loose_scaffold(filtration),
-    )
+    barcode = compute_persistence(filtration)
+    results = step_bases(filtration, barcode, None, workers)
+    return minimal_scaffold(filtration, results), loose_scaffold(filtration, barcode)
 
 
 def _compare_one(
@@ -264,10 +248,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             )
             filtration = build_filtration(g)
             t0 = time.perf_counter()
-            loose_scaffold(filtration)
+            barcode = compute_persistence(filtration)
+            loose_scaffold(filtration, barcode)
             t1 = time.perf_counter()
-            results = step_bases(filtration, None, workers)
-            minimal_scaffold(filtration, results=results)
+            # minimal_ms reuses the barcode, so it holds no reduction
+            results = step_bases(filtration, barcode, None, workers)
+            minimal_scaffold(filtration, results)
             t2 = time.perf_counter()
             rows.append(
                 f"ws,{n},{k},{args.p},{seed},"
@@ -372,29 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command = {
+        "scaffold": cmd_scaffold,
+        "persistence": cmd_persistence,
+        "generate": cmd_generate,
+        "compare": cmd_compare,
+        "bench": cmd_bench,
+    }[args.command]
     try:
-        if args.command == "scaffold":
-            cfg = RunConfig(
-                input_path=Path(args.input),
-                fmt=args.format,
-                orientation=args.orientation,
-                which=args.which,
-                mu_mode=args.mu_weights,
-                include_essential=args.essential == "include",
-                workers=resolve_workers(args.parallelism),
-                seed=args.seed,
-                output_dir=Path(args.output_dir),
-            )
-            return cmd_scaffold(cfg)
-        if args.command == "persistence":
-            return cmd_persistence(args)
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "compare":
-            return cmd_compare(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        raise AssertionError(f"unhandled command {args.command!r}")
+        return command(args)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

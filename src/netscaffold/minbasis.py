@@ -167,7 +167,7 @@ def _annotate(cx: FlagComplex2) -> _EdgeAnnotations:
                 mask |= 1 << k
         tri_coords.append(mask)
 
-    reduced, _ = column_reduce(Z2Matrix(columns=tri_coords, n_rows=g))
+    reduced = column_reduce(Z2Matrix(columns=tri_coords, n_rows=g))
     pivots: dict[int, int] = {}
     cols = []
     for c in reduced.columns:

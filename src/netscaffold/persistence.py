@@ -11,10 +11,10 @@ no tolerance).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .complexes import flag_complex_at
+from .complexes import FlagComplex2, flag_complex_at
 from .graph import Filtration
 from .minbasis import Cycle
 from .z2 import boundary_matrix, low, rank
@@ -49,13 +49,15 @@ class PersistencePair:
 @dataclass(frozen=True)
 class Barcode:
     pairs: tuple[PersistencePair, ...]
+    # the full complex these bars reduce; the scaffolds slice steps from it
+    complex: FlagComplex2 = field(repr=False, compare=False)
 
     def in_dim(self, dim: int) -> tuple[PersistencePair, ...]:
         return tuple(p for p in self.pairs if p.dim == dim)
 
 
 def compute_persistence(f: Filtration) -> Barcode:
-    """Barcode of the flag filtration (degrees 0 and 1)."""
+    """Barcode of the flag filtration (degrees 0 and 1), with its complex."""
     g = f.source
     cx = flag_complex_at(g, f.steps[-1])
     n = g.n_vertices
@@ -168,7 +170,7 @@ def compute_persistence(f: Filtration) -> Barcode:
             p.generator.edges if p.generator is not None else (),
         )
     )
-    return Barcode(pairs=tuple(pairs))
+    return Barcode(pairs=tuple(pairs), complex=cx)
 
 
 def betti1_at(cx) -> int:

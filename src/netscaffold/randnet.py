@@ -194,6 +194,8 @@ def correlation_graph(mat: np.ndarray) -> WeightedGraph:
 
 # required params per model; rgg also takes an optional "dim"
 MODEL_PARAMS = {"ws": ("n", "k", "p"), "rgg": ("n", "threshold"), "er": ("n", "m")}
+# counts must be JSON integers: generate would truncate 6.9 to 6
+INTEGER_PARAMS = ("n", "k", "m", "dim")
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,9 @@ class GeneratorConfig:
         for k, v in self.params.items():
             if not isinstance(v, (int, float, str)):
                 raise ValueError(f"generator param {k!r} is not a number: {v!r}")
-        if not isinstance(self.seed, int):
+            if k in INTEGER_PARAMS and type(v) is not int:  # bool is an int too
+                raise ValueError(f"generator param {k!r} is not an integer: {v!r}")
+        if type(self.seed) is not int:
             raise ValueError(f"generator seed {self.seed!r} is not an integer")
 
     @classmethod

@@ -1,8 +1,9 @@
 """Scaffold construction: per-edge aggregation of homology generators.
 
-Three variants over one filtration. "loose" counts, per edge, the
-persistence generators that use it. "minimal" does the same with the
-minimum-basis representatives of every filtration step. The draws
+Three variants over one filtration and its barcode. "loose" counts,
+per edge, the barcode's generators that use it. "minimal" does the same
+with the minimum-basis representatives of every filtration step, each
+basis computed on a prefix of the barcode's complex. The draws
 variant splits each count evenly across the tied representatives of a
 variant set, in exact rationals.
 
@@ -18,10 +19,10 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import FlagComplex2, flag_complex_at
+from .complexes import FlagComplex2
 from .graph import Filtration
 from .minbasis import MinimalBasisWithDraws, PathologyEvent, min_basis_with_draws
-from .persistence import bars_alive_at, compute_persistence
+from .persistence import Barcode, bars_alive_at
 
 __all__ = [
     "Scaffold",
@@ -67,14 +68,22 @@ def _finalize(
     )
 
 
-def loose_scaffold(f: Filtration, include_essential: bool = True) -> Scaffold:
-    """Per-edge count of persistence generators using that edge.
+def _check_barcode(f: Filtration, barcode: Barcode) -> None:
+    # a barcode of another graph would index that graph's edges
+    if barcode.complex.graph != f.source:
+        raise ValueError("barcode was computed for a different graph")
+
+
+def loose_scaffold(
+    f: Filtration, barcode: Barcode, include_essential: bool = True
+) -> Scaffold:
+    """Per-edge count of the barcode's generators using that edge.
 
     Essential (never-dying) classes are counted by default; pass
     include_essential=False to restrict to finite bars.
     """
+    _check_barcode(f, barcode)
     g = f.source
-    barcode = compute_persistence(f)
     acc: dict[tuple[int, int], Fraction] = {}
     for pair in barcode.in_dim(1):
         if pair.death is None and not include_essential:
@@ -102,23 +111,20 @@ def _step_job(
 
 def step_bases(
     f: Filtration,
+    barcode: Barcode,
     mu_weights: dict[int, Fraction] | None = None,
     workers: int = 1,
 ) -> list[tuple[Fraction, MinimalBasisWithDraws]]:
     """Minimum basis per filtration step, skipping steps with no cycles.
 
     The live-bar profile of the barcode tells which steps carry dim-1
-    classes; only those get a basis job. The full complex is built once
-    and each job gets its step's prefix view of it. With workers > 1
-    the jobs run in a process pool; results come back in step order
-    either way.
+    classes; only those get a basis job, on its step's prefix view of
+    the barcode's complex. With workers > 1 the jobs run in a process
+    pool; results come back in step order either way.
     """
-    barcode = compute_persistence(f)
+    _check_barcode(f, barcode)
     active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
-    if not active:
-        return []
-    full = flag_complex_at(f.source, f.steps[-1])
-    jobs = ((full.at(eps), mu_weights) for eps in active)
+    jobs = ((barcode.complex.at(eps), mu_weights) for eps in active)
     if workers <= 1 or len(active) <= 1:
         return [_step_job(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -162,30 +168,16 @@ def _aggregate_minimal(
 
 
 def minimal_scaffold(
-    f: Filtration,
-    mu_weights: dict[int, Fraction] | None = None,
-    workers: int = 1,
-    results: list[tuple[Fraction, MinimalBasisWithDraws]] | None = None,
+    f: Filtration, results: list[tuple[Fraction, MinimalBasisWithDraws]]
 ) -> Scaffold:
-    """Count each step's minimum-basis representatives per edge.
-
-    Pass precomputed step_bases results to avoid recomputation when
-    building several variants from one filtration.
-    """
-    if results is None:
-        results = step_bases(f, mu_weights, workers)
+    """Per-edge count of the representatives in step_bases results."""
     return _aggregate_minimal(f, results, draws=False)
 
 
 def minimal_scaffold_with_draws(
-    f: Filtration,
-    mu_weights: dict[int, Fraction] | None = None,
-    workers: int = 1,
-    results: list[tuple[Fraction, MinimalBasisWithDraws]] | None = None,
+    f: Filtration, results: list[tuple[Fraction, MinimalBasisWithDraws]]
 ) -> Scaffold:
     """Like minimal_scaffold but splitting ties evenly across draws."""
-    if results is None:
-        results = step_bases(f, mu_weights, workers)
     return _aggregate_minimal(f, results, draws=True)
 
 

@@ -43,13 +43,6 @@ class Z2Matrix:
     columns: list[int]
     n_rows: int
 
-    @property
-    def n_cols(self) -> int:
-        return len(self.columns)
-
-    def copy(self) -> "Z2Matrix":
-        return Z2Matrix(columns=list(self.columns), n_rows=self.n_rows)
-
 
 def boundary_matrix(cx: FlagComplex2, k: int) -> Z2Matrix:
     """Boundary operator of the complex in degree k (1 or 2).
@@ -78,16 +71,13 @@ def boundary_matrix(cx: FlagComplex2, k: int) -> Z2Matrix:
     raise ValueError(f"boundary degree must be 1 or 2, got {k}")
 
 
-def column_reduce(m: Z2Matrix) -> tuple[Z2Matrix, list[tuple[int, int]]]:
-    """Left-to-right column reduction.
+def column_reduce(m: Z2Matrix) -> Z2Matrix:
+    """Left-to-right column reduction, into a new matrix.
 
     Repeatedly adds an earlier column into a later one whenever both
-    share the same pivot row, until pivots are distinct. Returns the
-    reduced matrix and the log of (source, target) column additions,
-    in the order they were applied.
+    share the same pivot row, until pivots are distinct.
     """
     cols = list(m.columns)
-    ops: list[tuple[int, int]] = []
     pivot_owner: dict[int, int] = {}
     for j in range(len(cols)):
         while cols[j]:
@@ -97,11 +87,9 @@ def column_reduce(m: Z2Matrix) -> tuple[Z2Matrix, list[tuple[int, int]]]:
                 pivot_owner[piv] = j
                 break
             cols[j] ^= cols[owner]
-            ops.append((owner, j))
-    return Z2Matrix(columns=cols, n_rows=m.n_rows), ops
+    return Z2Matrix(columns=cols, n_rows=m.n_rows)
 
 
 def rank(m: Z2Matrix) -> int:
     """Z2 rank: nonzero columns after reduction."""
-    reduced, _ = column_reduce(m)
-    return sum(1 for c in reduced.columns if c)
+    return sum(1 for c in column_reduce(m).columns if c)

@@ -210,7 +210,7 @@ def test_criterion_2_unit_square_barcode_and_scaffold():
     essential0 = [p for p in barcode.in_dim(0) if p.death is None]
     if len(essential0) != 1:
         fail(2, f"expected one infinite dim-0 bar, got {len(essential0)}")
-    s = minimal_scaffold(f)
+    s = minimal_scaffold(f, step_bases(f, barcode))
     want = {(0, 1): Fraction(1), (1, 2): Fraction(1), (2, 3): Fraction(1), (0, 3): Fraction(1)}
     got = {(u, v): w for u, v, w in s.edge_weights}
     if got != want:
@@ -235,10 +235,11 @@ def test_criterion_3_draw_sets_and_tie_pathology(caplog):
         ],
     )
     f = build_filtration(diamond)
-    sets = [vs for _, mb in step_bases(f) for vs in mb.variant_sets]
+    results = step_bases(f, compute_persistence(f))
+    sets = [vs for _, mb in results for vs in mb.variant_sets]
     if len(sets) != 1 or len(sets[0]) != 2:
         fail(3, f"expected one variant set of size 2, got {[len(v) for v in sets]}")
-    draws = minimal_scaffold_with_draws(f)
+    draws = minimal_scaffold_with_draws(f, results)
     got = {(u, v): w for u, v, w in draws.edge_weights}
     half = Fraction(1, 2)
     for e in ((0, 1), (0, 2), (1, 3), (2, 3)):
@@ -252,8 +253,9 @@ def test_criterion_3_draw_sets_and_tie_pathology(caplog):
             (0, 4, Fraction(3, 2)), (2, 4, Fraction(3, 2)),
         ],
     )
+    f = build_filtration(theta)
     with caplog.at_level(logging.WARNING, logger="netscaffold.minbasis"):
-        results = step_bases(build_filtration(theta))
+        results = step_bases(f, compute_persistence(f))
     events = [ev for _, mb in results for ev in mb.pathology_events]
     logged = [r for r in caplog.records if "pathological" in r.message]
     if len(events) != 1:
@@ -298,9 +300,12 @@ def _criterion4_one(seed):
     weights = [w for _, _, w in g.edges]
     assert len(set(weights)) == len(weights), f"weight collision at seed {seed}"
     f = build_filtration(g)
-    base_draws = scaffold_to_csv(_mapped_back(minimal_scaffold_with_draws(f), list(range(20))))
-    base_loose_support = {(u, v) for u, v, _ in loose_scaffold(f).edge_weights}
-    base_bars = _bars_only(compute_persistence(f))
+    barcode = compute_persistence(f)
+    base_draws = scaffold_to_csv(
+        _mapped_back(minimal_scaffold_with_draws(f, step_bases(f, barcode)), list(range(20)))
+    )
+    base_loose_support = {(u, v) for u, v, _ in loose_scaffold(f, barcode).edge_weights}
+    base_bars = _bars_only(barcode)
     rng = random.Random(31_337 + seed)
     support_diffs = 0
     for _ in range(10):
@@ -310,12 +315,17 @@ def _criterion4_one(seed):
         for old, new in enumerate(perm):
             inv[new] = old
         f2 = build_filtration(relabel(g, perm))
-        draws2 = scaffold_to_csv(_mapped_back(minimal_scaffold_with_draws(f2), inv))
+        barcode2 = compute_persistence(f2)
+        draws2 = scaffold_to_csv(
+            _mapped_back(minimal_scaffold_with_draws(f2, step_bases(f2, barcode2)), inv)
+        )
         assert draws2 == base_draws, f"draws scaffold differs at seed {seed}"
-        assert _bars_only(compute_persistence(f2)) == base_bars, (
+        assert _bars_only(barcode2) == base_bars, (
             f"barcode differs at seed {seed}"
         )
-        support2 = {(u, v) for u, v, _ in _mapped_back(loose_scaffold(f2), inv).edge_weights}
+        support2 = {
+            (u, v) for u, v, _ in _mapped_back(loose_scaffold(f2, barcode2), inv).edge_weights
+        }
         if support2 != base_loose_support:
             support_diffs += 1
     return support_diffs
@@ -363,7 +373,7 @@ def test_criterion_5_reference_connectome_ranking():
         fail(5, f"expected 297 vertices, file has {g.n_vertices}")
     # synapse counts are affinities: strongest connections enter first
     f = build_filtration(orient_filtration(g, "descending"))
-    s = minimal_scaffold(f, workers=8)
+    s = minimal_scaffold(f, step_bases(f, compute_persistence(f), workers=8))
     top4 = {v for v, _ in rank_nodes(s)[:4]}
     strengths = node_strength(s)
     mean_strength = float(sum(strengths.values(), Fraction(0)) / g.n_vertices)
@@ -388,8 +398,9 @@ def test_criterion_5_reference_connectome_ranking():
 
 def _scaffold_pair(g):
     f = build_filtration(g)
-    results = step_bases(f, None, 1)
-    return minimal_scaffold(f, results=results), loose_scaffold(f)
+    barcode = compute_persistence(f)
+    results = step_bases(f, barcode, None, 1)
+    return minimal_scaffold(f, results=results), loose_scaffold(f, barcode)
 
 
 def _criterion6_one(args):
@@ -533,8 +544,9 @@ def test_criterion_8_bench_runtime_trend(tmp_path):
 def _criterion9_one(seed):
     g = gen_rgg(20, 0.4, seed=seed)
     f = build_filtration(g)
-    serial = step_bases(f, None, workers=1)
-    pooled = step_bases(f, None, workers=8)
+    barcode = compute_persistence(f)
+    serial = step_bases(f, barcode, None, workers=1)
+    pooled = step_bases(f, barcode, None, workers=8)
     files_serial = (
         scaffold_to_csv(minimal_scaffold(f, results=serial)),
         scaffold_to_csv(minimal_scaffold_with_draws(f, results=serial)),

@@ -2,7 +2,6 @@
 
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -89,6 +88,8 @@ class TestGenerate:
             ([], {"model": "ws", "params": [1]}),
             ([], {"model": "ws", "params": {"n": 5}}),
             ([], {"params": {"n": 5, "m": 3}}),
+            ([], {"model": "er", "params": {"n": 6.9, "m": 5.5}, "seed": 1}),
+            ([], {"model": "er", "params": {"n": 6, "m": True}}),
         ],
         ids=[
             "flag_missing_k_p",
@@ -96,6 +97,8 @@ class TestGenerate:
             "config_params_not_object",
             "config_missing_k_p",
             "config_no_model",
+            "config_fractional_counts",
+            "config_bool_count",
         ],
     )
     def test_missing_params_is_data_error(self, tmp_path, capsys, argv, config):
@@ -188,6 +191,13 @@ class TestScaffoldCommand:
             extra=("--orientation", "descending", "--mu-weights", "original"),
         )
         assert code == EXIT_OK
+
+    def test_bad_workers_env_is_data_error(self, tmp_path, theta_graph, monkeypatch, capsys):
+        monkeypatch.setenv(WORKERS_ENV, "lots")
+        code, outdir = self.run_on(tmp_path, theta_graph)
+        assert code == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+        assert not outdir.exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         code = main(

@@ -25,7 +25,6 @@ from .oracles import (
     flag_triangles,
     gf2_rank_lowbit,
     make_residue_fn,
-    mask_length,
 )
 
 

@@ -4,13 +4,10 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from netscaffold.complexes import flag_complex_at
 from netscaffold.graph import build_filtration, make_graph
 from netscaffold.persistence import (
-    PersistencePair,
     bars_alive_at,
     barcode_to_csv,
     barcode_to_json,

@@ -243,6 +243,24 @@ class TestGeneratorConfig:
         with pytest.raises(ValueError, match="model"):
             GeneratorConfig(model="nope")
 
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            ("er", {"n": 6.9, "m": 5}),
+            ("er", {"n": 6, "m": 5.0}),
+            ("ws", {"n": 10, "k": True, "p": 0.1}),
+            ("rgg", {"n": "9", "threshold": 0.5}),
+            ("rgg", {"n": 9, "threshold": 0.5, "dim": 2.5}),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, model, params):
+        with pytest.raises(ValueError, match="not an integer"):
+            GeneratorConfig(model=model, params=params)
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            GeneratorConfig(model="er", params={"n": 6, "m": 5}, seed=True)
+
     def test_connectivity_sanity(self):
         # ring lattices are connected; useful for downstream metric tests
         g = gen_ws_weighted(24, 4, 0.1, seed=0)

@@ -8,7 +8,7 @@ import pytest
 from netscaffold.complexes import flag_complex_at
 from netscaffold.graph import build_filtration, make_graph
 from netscaffold.minbasis import PathologyEvent
-from netscaffold.persistence import betti1_at
+from netscaffold.persistence import betti1_at, compute_persistence
 from netscaffold.scaffold import (
     Scaffold,
     loose_scaffold,
@@ -23,6 +23,14 @@ from netscaffold.scaffold import (
 )
 
 from .conftest import SQRT2
+
+
+def loose_of(f, include_essential=True):
+    return loose_scaffold(f, compute_persistence(f), include_essential)
+
+
+def bases_of(f, mu_weights=None, workers=1):
+    return step_bases(f, compute_persistence(f), mu_weights, workers)
 
 
 def random_graph(seed, n=7, density=0.5):
@@ -60,7 +68,7 @@ class TestScaffoldModel:
 
 class TestUnitSquare:
     def test_loose_is_the_unit_cycle(self, unit_square):
-        s = loose_scaffold(build_filtration(unit_square))
+        s = loose_of(build_filtration(unit_square))
         assert s.provenance == "loose"
         assert s.edge_weights == (
             (0, 1, Fraction(1)),
@@ -71,16 +79,17 @@ class TestUnitSquare:
 
     def test_minimal_matches_loose_here(self, unit_square):
         f = build_filtration(unit_square)
-        assert minimal_scaffold(f).edge_weights == loose_scaffold(f).edge_weights
+        assert minimal_scaffold(f, bases_of(f)).edge_weights == loose_of(f).edge_weights
 
     def test_beta1_profile(self, unit_square):
-        s = loose_scaffold(build_filtration(unit_square))
+        s = loose_of(build_filtration(unit_square))
         assert s.beta1_profile == ((Fraction(1), 1), (SQRT2, 0))
 
 
 class TestDiamondDraws:
     def test_minimal_uses_representative_only(self, diamond_with_tail):
-        s = minimal_scaffold(build_filtration(diamond_with_tail))
+        f = build_filtration(diamond_with_tail)
+        s = minimal_scaffold(f, bases_of(f))
         assert s.edge_weights == (
             (0, 1, Fraction(1)),
             (0, 5, Fraction(1)),
@@ -91,7 +100,8 @@ class TestDiamondDraws:
         assert s.variant_histogram == ((2, 1),)
 
     def test_draws_split_the_tie(self, diamond_with_tail):
-        s = minimal_scaffold_with_draws(build_filtration(diamond_with_tail))
+        f = build_filtration(diamond_with_tail)
+        s = minimal_scaffold_with_draws(f, bases_of(f))
         assert s.provenance == "minimal_with_draws"
         half = Fraction(1, 2)
         assert dict(((u, v), w) for u, v, w in s.edge_weights) == {
@@ -106,8 +116,9 @@ class TestDiamondDraws:
 
     def test_draw_shares_conserve_total(self, diamond_with_tail):
         f = build_filtration(diamond_with_tail)
-        rep = minimal_scaffold(f)
-        draw = minimal_scaffold_with_draws(f)
+        results = bases_of(f)
+        rep = minimal_scaffold(f, results)
+        draw = minimal_scaffold_with_draws(f, results)
         # both sum to the basis total length (unit weights: edge count)
         assert sum(w for _, _, w in rep.edge_weights) == sum(
             w for _, _, w in draw.edge_weights
@@ -116,7 +127,8 @@ class TestDiamondDraws:
 
 class TestThetaAggregation:
     def test_minimal_counts_per_step(self, theta_graph):
-        s = minimal_scaffold(build_filtration(theta_graph))
+        f = build_filtration(theta_graph)
+        s = minimal_scaffold(f, bases_of(f))
         assert dict(((u, v), w) for u, v, w in s.edge_weights) == {
             (0, 1): Fraction(3),
             (0, 3): Fraction(2),
@@ -128,7 +140,8 @@ class TestThetaAggregation:
         assert s.variant_histogram == ((1, 3),)
 
     def test_pathology_carries_its_step(self, theta_graph):
-        s = minimal_scaffold(build_filtration(theta_graph))
+        f = build_filtration(theta_graph)
+        s = minimal_scaffold(f, bases_of(f))
         assert s.pathology_events == (
             (
                 Fraction(3, 2),
@@ -138,7 +151,8 @@ class TestThetaAggregation:
 
     def test_mu_override_reaches_the_steps(self, theta_graph):
         ones = {i: Fraction(1) for i in range(len(theta_graph.edges))}
-        s = minimal_scaffold(build_filtration(theta_graph), mu_weights=ones)
+        f = build_filtration(theta_graph)
+        s = minimal_scaffold(f, bases_of(f, mu_weights=ones))
         # hop metric: every cycle here has four edges, so ties collide
         assert any(ev.level == 4 for _, ev in s.pathology_events)
 
@@ -147,22 +161,22 @@ class TestEssentialFlag:
     def test_exclude_essential_empties_a_bare_cycle(self):
         g = make_graph(4, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1)])
         f = build_filtration(g)
-        assert loose_scaffold(f, include_essential=True).n_scaffold_edges == 4
-        assert loose_scaffold(f, include_essential=False).edge_weights == ()
+        assert loose_of(f, include_essential=True).n_scaffold_edges == 4
+        assert loose_of(f, include_essential=False).edge_weights == ()
 
 
 class TestStepBases:
     def test_skips_trivial_steps(self, unit_square):
-        results = step_bases(build_filtration(unit_square))
+        results = bases_of(build_filtration(unit_square))
         assert [eps for eps, _ in results] == [Fraction(1)]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_profile_matches_live_counts(self, seed):
         g = random_graph(seed)
         f = build_filtration(g)
-        results = step_bases(f)
+        results = bases_of(f)
         for s in (
-            loose_scaffold(f),
+            loose_of(f),
             minimal_scaffold(f, results=results),
             minimal_scaffold_with_draws(f, results=results),
         ):
@@ -174,25 +188,34 @@ class TestStepBases:
     def test_worker_count_never_changes_results(self, seed):
         g = random_graph(seed, n=8)
         f = build_filtration(g)
-        serial = step_bases(f, workers=1)
-        pooled = step_bases(f, workers=2)
+        serial = bases_of(f, workers=1)
+        pooled = bases_of(f, workers=2)
         assert serial == pooled
         assert minimal_scaffold_with_draws(
-            f, workers=1
-        ) == minimal_scaffold_with_draws(f, workers=2)
+            f, serial
+        ) == minimal_scaffold_with_draws(f, pooled)
 
-    def test_precomputed_results_are_honored(self, theta_graph):
+    def test_barcode_of_another_graph_is_rejected(self, theta_graph, unit_square):
         f = build_filtration(theta_graph)
-        results = step_bases(f)
-        assert minimal_scaffold(f, results=results) == minimal_scaffold(f)
-        assert minimal_scaffold_with_draws(
-            f, results=results
-        ) == minimal_scaffold_with_draws(f)
+        other = compute_persistence(build_filtration(unit_square))
+        with pytest.raises(ValueError, match="different graph"):
+            loose_scaffold(f, other)
+        with pytest.raises(ValueError, match="different graph"):
+            step_bases(f, other)
+
+    def test_barcode_of_an_equal_graph_is_accepted(self, theta_graph):
+        f = build_filtration(theta_graph)
+        twin = build_filtration(make_graph(5, theta_graph.edges))
+        assert twin.source is not f.source
+        barcode = compute_persistence(twin)
+        assert loose_scaffold(f, barcode) == loose_of(f)
+        assert step_bases(f, barcode) == bases_of(f)
 
 
 class TestRanking:
     def test_node_strength_covers_all_vertices(self, diamond_with_tail):
-        s = minimal_scaffold_with_draws(build_filtration(diamond_with_tail))
+        f = build_filtration(diamond_with_tail)
+        s = minimal_scaffold_with_draws(f, bases_of(f))
         strength = node_strength(s)
         assert strength == {
             0: Fraction(2),
@@ -204,7 +227,8 @@ class TestRanking:
         }
 
     def test_rank_nodes_orders_and_normalizes(self, diamond_with_tail):
-        s = minimal_scaffold_with_draws(build_filtration(diamond_with_tail))
+        f = build_filtration(diamond_with_tail)
+        s = minimal_scaffold_with_draws(f, bases_of(f))
         ranked = rank_nodes(s)
         assert [v for v, _ in ranked] == [0, 3, 4, 5, 1, 2]
         assert ranked[0][1] == pytest.approx(1.2)
@@ -220,17 +244,20 @@ class TestRanking:
 
 class TestCsvRoundTrip:
     def test_round_trip(self, theta_graph):
-        s = minimal_scaffold(build_filtration(theta_graph))
+        f = build_filtration(theta_graph)
+        s = minimal_scaffold(f, bases_of(f))
         back = parse_scaffold_csv(scaffold_to_csv(s), n_vertices=s.n_vertices)
         assert back.edge_weights == s.edge_weights
         assert back.n_vertices == s.n_vertices
 
     def test_vertex_count_defaults_to_max_id(self, theta_graph):
-        s = minimal_scaffold(build_filtration(theta_graph))
+        f = build_filtration(theta_graph)
+        s = minimal_scaffold(f, bases_of(f))
         assert parse_scaffold_csv(scaffold_to_csv(s)).n_vertices == 5
 
     def test_exact_rationals_survive(self, diamond_with_tail):
-        s = minimal_scaffold_with_draws(build_filtration(diamond_with_tail))
+        f = build_filtration(diamond_with_tail)
+        s = minimal_scaffold_with_draws(f, bases_of(f))
         back = parse_scaffold_csv(scaffold_to_csv(s))
         assert (0, 1, Fraction(1, 2)) in back.edge_weights
 
@@ -246,7 +273,8 @@ class TestCsvRoundTrip:
 
 class TestReport:
     def test_report_shape(self, theta_graph):
-        s = minimal_scaffold_with_draws(build_filtration(theta_graph))
+        f = build_filtration(theta_graph)
+        s = minimal_scaffold_with_draws(f, bases_of(f))
         rep = scaffold_report(s)
         assert rep["provenance"] == "minimal_with_draws"
         assert rep["n_vertices"] == 5

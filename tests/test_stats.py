@@ -12,7 +12,6 @@ from netscaffold.scaffold import Scaffold
 from netscaffold.stats import (
     KS_INCONCLUSIVE_P,
     VERTEX_METRICS,
-    ComparisonReport,
     aggregate_comparisons,
     compare_scaffolds,
     graph_metrics,
