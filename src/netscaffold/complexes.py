@@ -8,6 +8,15 @@ enters at its largest edge weight. Ranks are monotone in weight, so the
 complex at a smaller threshold is a prefix of both orders, with every
 edge at the same position: ``FlagComplex2.at`` slices it out instead of
 rebuilding.
+
+The complex also carries what persistence and the minimal bases read
+off it: the Kruskal spanning forest over edge positions, the
+fundamental cycle of every non-tree edge, and the triangle boundary
+columns reduced left to right. Each is exact on a prefix too. Kruskal
+runs in position order, so a prefix's forest is a prefix of the
+forest; the forest path between two vertices never changes once both
+are in it; and reducing a prefix of the columns gives a prefix of the
+full reduction.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import WeightedGraph
+from .z2 import Z2Matrix, column_reduce
 
 __all__ = ["FlagComplex2", "flag_complex_at"]
 
@@ -31,6 +41,12 @@ class FlagComplex2:
     ``triangles`` are vertex triples ordered by (rank, vertex triple),
     with ``triangle_ranks`` alongside. All vertices of the graph are
     present regardless of epsilon.
+
+    ``tree`` is the bitset of edge positions in the Kruskal forest
+    (position order). ``cycles[p]`` is the fundamental cycle of
+    non-tree position p, as a bitset of positions, and 0 for a tree
+    position. ``reduced[t]`` is the boundary of triangle t over edge
+    positions after left-to-right column reduction.
     """
 
     epsilon: Fraction
@@ -40,6 +56,9 @@ class FlagComplex2:
     edge_ranks: tuple[int, ...]
     triangles: tuple[tuple[int, int, int], ...]
     triangle_ranks: tuple[int, ...]
+    tree: int = field(repr=False)
+    cycles: tuple[int, ...] = field(repr=False)
+    reduced: tuple[int, ...] = field(repr=False)
     # pair -> position in edge_ids; shared with every prefix view
     _edge_pos: dict[tuple[int, int], int] = field(repr=False, compare=False)
 
@@ -61,6 +80,15 @@ class FlagComplex2:
 
     def edge_weight(self, pos: int) -> Fraction:
         return self.graph.edges[self.edge_ids[pos]][2]
+
+    def ids_of_mask(self, mask: int) -> tuple[int, ...]:
+        """Ascending graph edge ids of a bitset of edge positions."""
+        ids = []
+        while mask:
+            lsb = mask & -mask
+            ids.append(self.edge_ids[lsb.bit_length() - 1])
+            mask ^= lsb
+        return tuple(sorted(ids))
 
     def edge_position(self, u: int, v: int) -> int:
         """Position of edge {u,v} in this complex; KeyError if absent."""
@@ -90,6 +118,9 @@ class FlagComplex2:
             edge_ranks=self.edge_ranks[:n_e],
             triangles=self.triangles[:n_t],
             triangle_ranks=self.triangle_ranks[:n_t],
+            tree=self.tree & ((1 << n_e) - 1),
+            cycles=self.cycles[:n_e],
+            reduced=self.reduced[:n_t],
             _edge_pos=self._edge_pos,
         )
 
@@ -101,20 +132,61 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
     edges = sorted(
         (rank[w], u, v, i) for i, (u, v, w) in enumerate(g.edges) if w <= epsilon
     )
+    pos = {(u, v): p for p, (_, u, v, _) in enumerate(edges)}
 
     adj: list[set[int]] = [set() for _ in range(g.n_vertices)]
-    rank_of_pair: dict[tuple[int, int], int] = {}
-    for r, u, v, _ in edges:
+    for _, u, v, _ in edges:
         adj[u].add(v)
         adj[v].add(u)
-        rank_of_pair[(u, v)] = r
-    # common neighbors above v: each triangle found exactly once, u<v<t
-    tris = sorted(
-        (max(r_uv, rank_of_pair[(u, t)], rank_of_pair[(v, t)]), (u, v, t))
-        for (u, v), r_uv in rank_of_pair.items()
-        for t in adj[u] & adj[v]
-        if t > v
-    )
+    # common neighbors above v: each triangle found exactly once, u<v<t;
+    # positions ascend with rank, so the last edge gives the rank
+    tris = []
+    for (u, v), p_uv in pos.items():
+        for t in adj[u] & adj[v]:
+            if t > v:
+                p_ut, p_vt = pos[(u, t)], pos[(v, t)]
+                tris.append((
+                    edges[max(p_uv, p_ut, p_vt)][0],
+                    (u, v, t),
+                    (1 << p_uv) | (1 << p_ut) | (1 << p_vt),
+                ))
+    tris.sort()
+
+    # Kruskal in position order, then root-to-vertex path masks in the
+    # forest: a non-tree edge closes the cycle of the two paths
+    parent = list(range(g.n_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = 0
+    in_tree = [False] * len(edges)
+    forest: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
+    for p, (_, u, v, _) in enumerate(edges):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree |= 1 << p
+            in_tree[p] = True
+            forest[u].append((v, p))
+            forest[v].append((u, p))
+    path = [0] * g.n_vertices
+    seen = [False] * g.n_vertices
+    for root in range(g.n_vertices):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, p in forest[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    path[y] = path[x] | (1 << p)
+                    stack.append(y)
 
     return FlagComplex2(
         epsilon=epsilon,
@@ -122,7 +194,17 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
         weights=weights,
         edge_ids=tuple(e[3] for e in edges),
         edge_ranks=tuple(e[0] for e in edges),
-        triangles=tuple(t for _, t in tris),
-        triangle_ranks=tuple(r for r, _ in tris),
-        _edge_pos={(e[1], e[2]): p for p, e in enumerate(edges)},
+        triangles=tuple(t[1] for t in tris),
+        triangle_ranks=tuple(t[0] for t in tris),
+        tree=tree,
+        cycles=tuple(
+            0 if in_tree[p] else path[u] ^ path[v] ^ (1 << p)
+            for p, (_, u, v, _) in enumerate(edges)
+        ),
+        reduced=tuple(
+            column_reduce(
+                Z2Matrix(columns=[t[2] for t in tris], n_rows=len(edges))
+            ).columns
+        ),
+        _edge_pos=pos,
     )

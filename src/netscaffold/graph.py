@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
+    "MAX_VERTICES",
     "GraphFormatError",
     "WeightedGraph",
     "Filtration",
@@ -29,6 +30,11 @@ __all__ = [
 
 # Largest tolerated |a_ij - a_ji| when reading adjacency matrices.
 ADJACENCY_SYMMETRY_TOL = Fraction(1, 10**12)
+
+# Largest accepted vertex count. Per-vertex lists, adjacency sets and
+# shortest-path arrays are sized by it, so a header or vertex id far
+# past the edge count would otherwise allocate that much memory.
+MAX_VERTICES = 100_000
 
 
 class GraphFormatError(ValueError):
@@ -77,6 +83,10 @@ class WeightedGraph:
     def __post_init__(self) -> None:
         if self.n_vertices < 0:
             raise GraphFormatError("negative vertex count")
+        if self.n_vertices > MAX_VERTICES:
+            raise GraphFormatError(
+                f"{self.n_vertices} vertices, more than the limit of {MAX_VERTICES}"
+            )
         seen: set[tuple[int, int]] = set()
         for u, v, w in self.edges:
             if not (0 <= u < v < self.n_vertices):

@@ -1,7 +1,8 @@
 """Minimum-length homology bases of flag complexes, with draw detection.
 
 The pipeline per complex: annotate edges with Z2^beta1 homology
-coordinates, enumerate Horton candidate cycles from per-vertex
+coordinates (read off the complex's spanning forest and reduced
+triangle boundaries), enumerate Horton candidate cycles from per-vertex
 shortest-path trees, then select a minimum basis in one greedy pass
 over the candidates sorted by (length, edge ids). Each candidate's
 class is reduced against the classes kept so far, and it is kept when
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import FlagComplex2
-from .z2 import Z2Matrix, column_reduce, low
+from .z2 import low
 
 __all__ = [
     "Cycle",
@@ -128,68 +129,27 @@ class _EdgeAnnotations:
         return ann
 
 
-def _spanning_forest(cx: FlagComplex2) -> list[bool]:
-    """Kruskal-style forest over edge positions in position order."""
-    parent = list(range(cx.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    in_tree = [False] * cx.n_edges
-    for p in range(cx.n_edges):
-        u, v = cx.edge_vertices(p)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            in_tree[p] = True
-    return in_tree
-
-
 def _annotate(cx: FlagComplex2) -> _EdgeAnnotations:
-    in_tree = _spanning_forest(cx)
-    nt_positions = [p for p in range(cx.n_edges) if not in_tree[p]]
-    nt_index = {p: k for k, p in enumerate(nt_positions)}
-    g = len(nt_positions)
-
-    # triangle boundaries in fundamental-cycle coordinates: a boundary
-    # is itself a cycle, and any cycle's coordinates are the indicator
-    # of its non-tree edges
-    tri_coords = []
-    for (u, v, w) in cx.triangles:
-        mask = 0
-        for a, b in ((u, v), (u, w), (v, w)):
-            p = cx.edge_position(a, b)
-            k = nt_index.get(p)
-            if k is not None:
-                mask |= 1 << k
-        tri_coords.append(mask)
-
-    reduced = column_reduce(Z2Matrix(columns=tri_coords, n_rows=g))
-    pivots: dict[int, int] = {}
-    cols = []
-    for c in reduced.columns:
-        if c:
-            pivots[low(c)] = len(cols)
-            cols.append(c)
+    # the reduced triangle boundaries are cycles, so each low is a
+    # non-tree edge, and restricted to the non-tree edges they are
+    # their fundamental-cycle coordinates
+    nt_mask = ((1 << cx.n_edges) - 1) ^ cx.tree
+    cols = [c & nt_mask for c in cx.reduced if c]
+    pivots = {low(c): j for j, c in enumerate(cols)}
     # back-eliminate: each pivot row survives in exactly its own column,
-    # so residues reduce in a single pass
+    # so a pivot edge's class is the rest of that column
     for p in sorted(pivots, reverse=True):
         j = pivots[p]
         for j2 in range(len(cols)):
             if j2 != j and (cols[j2] >> p) & 1:
                 cols[j2] ^= cols[j]
 
-    free_rows = [r for r in range(g) if r not in pivots]
-    beta1 = len(free_rows)
+    free_rows = [
+        p for p in range(cx.n_edges) if (nt_mask >> p) & 1 and p not in pivots
+    ]
     free_bit = {r: i for i, r in enumerate(free_rows)}
 
-    def project(x: int) -> int:
-        for p, j in pivots.items():
-            if (x >> p) & 1:
-                x ^= cols[j]
+    def coords(x: int) -> int:
         out = 0
         while x:
             lsb = x & -x
@@ -198,13 +158,13 @@ def _annotate(cx: FlagComplex2) -> _EdgeAnnotations:
         return out
 
     ann_by_pos = [0] * cx.n_edges
-    for p, k in nt_index.items():
-        ann_by_pos[p] = project(1 << k)
-
-    nt_mask = 0
-    for p in nt_positions:
-        nt_mask |= 1 << p
-    return _EdgeAnnotations(beta1=beta1, ann_by_pos=ann_by_pos, nt_mask=nt_mask)
+    for p in free_rows:
+        ann_by_pos[p] = 1 << free_bit[p]
+    for p, j in pivots.items():
+        ann_by_pos[p] = coords(cols[j] ^ (1 << p))
+    return _EdgeAnnotations(
+        beta1=len(free_rows), ann_by_pos=ann_by_pos, nt_mask=nt_mask
+    )
 
 
 def annotate_edges(cx: FlagComplex2) -> tuple[int, dict[int, int]]:
@@ -350,42 +310,14 @@ def _candidate_masks(cx: FlagComplex2, imu: list[int]) -> dict[int, int]:
     return found
 
 
-def _fundamental_masks(
-    cx: FlagComplex2, nt_mask: int, imu: list[int]
-) -> dict[int, int]:
-    """Fundamental cycles of the annotation forest, as mask -> length.
+def _fundamental_masks(cx: FlagComplex2, imu: list[int]) -> dict[int, int]:
+    """Fundamental cycles of the complex's forest, as mask -> length.
 
     Merged into the candidate pool so selection always has a spanning
     family even when shortest-path ties thin out the Horton set.
     """
-    n = cx.n_vertices
-    tree_adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    nt_positions = []
-    for p in range(cx.n_edges):
-        u, v = cx.edge_vertices(p)
-        if (nt_mask >> p) & 1:
-            nt_positions.append(p)
-        else:
-            tree_adj[u].append((v, p))
-            tree_adj[v].append((u, p))
-    pathmask = [0] * n
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, p in tree_adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    pathmask[v] = pathmask[u] | (1 << p)
-                    stack.append(v)
     out: dict[int, int] = {}
-    for p in nt_positions:
-        a, b = cx.edge_vertices(p)
-        mask = pathmask[a] ^ pathmask[b] ^ (1 << p)
+    for mask in filter(None, cx.cycles):  # tree positions carry 0
         length = 0
         m = mask
         while m:
@@ -394,16 +326,6 @@ def _fundamental_masks(
             m ^= lsb
         out[mask] = length
     return out
-
-
-def _mask_to_ids(cx: FlagComplex2, mask: int) -> tuple[int, ...]:
-    """Ascending graph edge ids of a bitset of edge positions."""
-    ids = []
-    while mask:
-        lsb = mask & -mask
-        ids.append(cx.edge_ids[lsb.bit_length() - 1])
-        mask ^= lsb
-    return tuple(sorted(ids))
 
 
 def horton_candidates(
@@ -417,7 +339,7 @@ def horton_candidates(
     imu, denom = _scale_mu(_mu_by_pos(cx, mu_weights))
     found = _candidate_masks(cx, imu)
     cycles = [
-        Cycle(edges=_mask_to_ids(cx, m), length_mu=Fraction(l, denom))
+        Cycle(edges=cx.ids_of_mask(m), length_mu=Fraction(l, denom))
         for m, l in found.items()
     ]
     cycles.sort(key=lambda c: c.sort_key)
@@ -462,7 +384,7 @@ def min_basis_with_draws(
 
     imu, denom = _scale_mu(_mu_by_pos(cx, mu_weights))
     found = _candidate_masks(cx, imu)
-    for mask, length in _fundamental_masks(cx, ednn.nt_mask, imu).items():
+    for mask, length in _fundamental_masks(cx, imu).items():
         found.setdefault(mask, length)
     # (scaled length, edge ids, class); edge id sets are distinct, so
     # the tuples sort by (length, edge ids) and never compare classes
@@ -470,7 +392,7 @@ def min_basis_with_draws(
     for mask, length in found.items():
         ann = ednn.annotation_of_mask(mask)
         if ann:  # a zero class is a boundary, never selectable
-            cands.append((length, _mask_to_ids(cx, mask), ann))
+            cands.append((length, cx.ids_of_mask(mask), ann))
     cands.sort()
 
     span: dict[int, int] = {}

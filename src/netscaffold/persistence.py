@@ -1,11 +1,12 @@
 """Persistent homology of graph filtrations in degrees 0 and 1.
 
-Standard column reduction of the boundary matrix in filtration order,
-with columns as int bitsets. Finite dim-1 bars take their generator
-from the reduced triangle column at pairing time; essential dim-1 bars
-take theirs from the tracked combination that certifies the zeroed edge
-column is a cycle. Zero-persistence pairs are dropped (exact equality,
-no tolerance).
+The bars are read off the filtration's full flag complex, which
+carries its spanning forest and its reduced triangle boundaries (see
+``complexes``). Each tree edge kills a vertex class. Each nonzero
+reduced triangle column kills the class born at its lowest edge, and
+the column is that bar's generator. Each non-tree edge no column kills
+is born essential, with its fundamental cycle as generator.
+Zero-persistence pairs are dropped (exact equality, no tolerance).
 """
 
 from __future__ import annotations
@@ -60,106 +61,41 @@ def compute_persistence(f: Filtration) -> Barcode:
     """Barcode of the flag filtration (degrees 0 and 1), with its complex."""
     g = f.source
     cx = flag_complex_at(g, f.steps[-1])
-    n = g.n_vertices
 
-    # global order: vertices (born at 0), then edges and triangles by
-    # (rank, dimension, vertex tuple); vertices occupy indices 0..n-1
-    entries: list[tuple[int, int, tuple[int, ...]]] = [
-        (r, 1, cx.edge_vertices(p)) for p, r in enumerate(cx.edge_ranks)
-    ]
-    entries.extend((r, 2, t) for r, t in zip(cx.triangle_ranks, cx.triangles))
-    entries.sort()
+    def cycle(mask: int) -> Cycle:
+        ids = cx.ids_of_mask(mask)
+        return Cycle(
+            edges=ids, length_mu=sum((g.edges[e][2] for e in ids), Fraction(0))
+        )
 
-    index_of_edge: dict[tuple[int, int], int] = {}
-    columns: list[int] = [0] * n  # vertex columns are empty
-    fvals: list[Fraction] = [Fraction(0)] * n
-    dims: list[int] = [0] * n
-    for r, dim, vs in entries:
-        idx = len(columns)
-        if dim == 1:
-            index_of_edge[vs] = idx
-            col = (1 << vs[0]) | (1 << vs[1])
-        else:
-            u, v, w = vs
-            col = (
-                (1 << index_of_edge[(u, v)])
-                | (1 << index_of_edge[(u, w)])
-                | (1 << index_of_edge[(v, w)])
-            )
-        columns.append(col)
-        fvals.append(cx.weights[r])
-        dims.append(dim)
-
-    total = len(columns)
-    pivot_owner: dict[int, int] = {}
-    combos: dict[int, int] = {}  # edge column -> bitset over edge columns
-    reduced = list(columns)
-    for j in range(total):
-        if dims[j] == 1:
-            combos[j] = 1 << j
-        while reduced[j]:
-            piv = low(reduced[j])
-            owner = pivot_owner.get(piv)
-            if owner is None:
-                pivot_owner[piv] = j
-                break
-            reduced[j] ^= reduced[owner]
-            if dims[j] == 1:
-                combos[j] ^= combos[owner]
-
-    edge_id_of_index = {
-        index_of_edge[cx.edge_vertices(p)]: cx.edge_ids[p]
-        for p in range(cx.n_edges)
-    }
-
-    def cycle_from_edge_indices(bits: int) -> Cycle:
-        ids = []
-        length = Fraction(0)
-        while bits:
-            lsb = bits & -bits
-            idx = lsb.bit_length() - 1
-            eid = edge_id_of_index[idx]
-            ids.append(eid)
-            length += g.edges[eid][2]
-            bits ^= lsb
-        return Cycle(edges=tuple(sorted(ids)), length_mu=length)
-
-    killed: set[int] = set()
     pairs: list[PersistencePair] = []
-    for j in range(total):
-        if not reduced[j]:
-            continue
-        i = low(reduced[j])
-        killed.add(i)
-        birth, death = fvals[i], fvals[j]
-        if birth == death:
-            continue
-        if dims[j] == 1:
-            pairs.append(PersistencePair(dim=0, birth=birth, death=death))
-        else:
+    for p in range(cx.n_edges):
+        if (cx.tree >> p) & 1 and cx.edge_weight(p) != 0:
+            pairs.append(
+                PersistencePair(dim=0, birth=Fraction(0), death=cx.edge_weight(p))
+            )
+    pairs.extend(
+        [PersistencePair(dim=0, birth=Fraction(0), death=None)]
+        * (g.n_vertices - cx.tree.bit_count())
+    )
+    killed: set[int] = set()
+    for col, r in zip(cx.reduced, cx.triangle_ranks):
+        if not col:
+            continue  # zero triangle columns would be essential dim-2
+        p = low(col)
+        killed.add(p)
+        birth, death = cx.edge_weight(p), cx.weights[r]
+        if birth != death:
+            pairs.append(
+                PersistencePair(dim=1, birth=birth, death=death, generator=cycle(col))
+            )
+    for p, mask in enumerate(cx.cycles):
+        if mask and p not in killed:
             pairs.append(
                 PersistencePair(
-                    dim=1,
-                    birth=birth,
-                    death=death,
-                    generator=cycle_from_edge_indices(reduced[j]),
+                    dim=1, birth=cx.edge_weight(p), death=None, generator=cycle(mask)
                 )
             )
-    for j in range(total):
-        if reduced[j] or j in killed:
-            continue
-        if dims[j] == 0:
-            pairs.append(PersistencePair(dim=0, birth=Fraction(0), death=None))
-        elif dims[j] == 1:
-            pairs.append(
-                PersistencePair(
-                    dim=1,
-                    birth=fvals[j],
-                    death=None,
-                    generator=cycle_from_edge_indices(combos[j]),
-                )
-            )
-        # zero triangle columns would be essential dim-2; out of scope
 
     pairs.sort(
         key=lambda p: (

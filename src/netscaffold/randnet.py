@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .graph import WeightedGraph, as_weight, make_graph
+from .graph import MAX_VERTICES, WeightedGraph, as_weight, make_graph
 
 __all__ = [
     "GeneratorConfig",
@@ -223,6 +223,8 @@ class GeneratorConfig:
                 raise ValueError(f"generator param {k!r} is not a number: {v!r}")
             if k in INTEGER_PARAMS and type(v) is not int:  # bool is an int too
                 raise ValueError(f"generator param {k!r} is not an integer: {v!r}")
+        if self.params["n"] > MAX_VERTICES:
+            raise ValueError(f"generator n={self.params['n']} is above {MAX_VERTICES}")
         if type(self.seed) is not int:
             raise ValueError(f"generator seed {self.seed!r} is not an integer")
 

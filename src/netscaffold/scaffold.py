@@ -102,11 +102,18 @@ def loose_scaffold(
     )
 
 
-def _step_job(
-    args: tuple[FlagComplex2, dict[int, Fraction] | None],
-) -> tuple[Fraction, MinimalBasisWithDraws]:
-    cx, mu_weights = args
-    return cx.epsilon, min_basis_with_draws(cx, mu_weights)
+# the full complex and mu weights, sent to each pool worker once
+_worker_input: tuple[FlagComplex2, dict[int, Fraction] | None] | None = None
+
+
+def _init_worker(cx: FlagComplex2, mu_weights: dict[int, Fraction] | None) -> None:
+    global _worker_input
+    _worker_input = (cx, mu_weights)
+
+
+def _step_job(eps: Fraction) -> tuple[Fraction, MinimalBasisWithDraws]:
+    cx, mu_weights = _worker_input
+    return eps, min_basis_with_draws(cx.at(eps), mu_weights)
 
 
 def step_bases(
@@ -120,15 +127,20 @@ def step_bases(
     The live-bar profile of the barcode tells which steps carry dim-1
     classes; only those get a basis job, on its step's prefix view of
     the barcode's complex. With workers > 1 the jobs run in a process
-    pool; results come back in step order either way.
+    pool that receives the full complex once per worker, and each job
+    only its step; results come back in step order either way.
     """
     _check_barcode(f, barcode)
+    cx = barcode.complex
     active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
-    jobs = ((barcode.complex.at(eps), mu_weights) for eps in active)
     if workers <= 1 or len(active) <= 1:
-        return [_step_job(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_step_job, jobs))
+        return [
+            (eps, min_basis_with_draws(cx.at(eps), mu_weights)) for eps in active
+        ]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(cx, mu_weights)
+    ) as pool:
+        return list(pool.map(_step_job, active))
 
 
 def _aggregate_minimal(

@@ -9,9 +9,10 @@ this package targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .complexes import FlagComplex2
+if TYPE_CHECKING:  # complexes reduces its boundaries with this module
+    from .complexes import FlagComplex2
 
 __all__ = [
     "bits_from_indices",

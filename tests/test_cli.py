@@ -90,6 +90,8 @@ class TestGenerate:
             ([], {"params": {"n": 5, "m": 3}}),
             ([], {"model": "er", "params": {"n": 6.9, "m": 5.5}, "seed": 1}),
             ([], {"model": "er", "params": {"n": 6, "m": True}}),
+            (["--model", "er", "--n", "1000000000000", "--m", "5"], None),
+            ([], {"model": "ws", "params": {"n": 10**12, "k": 4, "p": 0.1}}),
         ],
         ids=[
             "flag_missing_k_p",
@@ -99,6 +101,8 @@ class TestGenerate:
             "config_no_model",
             "config_fractional_counts",
             "config_bool_count",
+            "flag_n_over_cap",
+            "config_n_over_cap",
         ],
     )
     def test_missing_params_is_data_error(self, tmp_path, capsys, argv, config):
@@ -227,6 +231,22 @@ class TestScaffoldCommand:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize(
+        "text",
+        ['{"n_vertices": 1000000000000}\n0,1,1\n', "0,1000000000000,1\n"],
+        ids=["header_n_vertices", "vertex_id"],
+    )
+    @pytest.mark.parametrize("command", ["scaffold", "persistence"])
+    def test_vertex_count_over_cap_is_data_error(self, tmp_path, capsys, text, command):
+        # rejected at parse time: nothing is sized by the vertex count
+        path = tmp_path / "huge.edges"
+        path.write_text(text)
+        outdir = tmp_path / "out"
+        code = main([command, "--input", str(path), "--output-dir", str(outdir)])
+        assert code == EXIT_DATA
+        assert "Traceback" not in capsys.readouterr().err
+        assert not outdir.exists()
+
     def test_deterministic_outputs(self, tmp_path, diamond_with_tail):
         _, out1 = self.run_on(tmp_path, diamond_with_tail, name="a.edges")
         path = write_graph(tmp_path, diamond_with_tail, "b.edges")
@@ -296,6 +316,15 @@ class TestCompareCommand:
         slots = agg["degree"]
         assert "main" in slots and "a_vs_null_b" in slots
 
+    def test_model_n_over_cap_is_data_error(self, tmp_path):
+        code = main(
+            [
+                "compare", "--model", "ws", "--n", "1000000000000", "--k", "4",
+                "--sample", "1", "--output-dir", str(tmp_path / "out"),
+            ]
+        )
+        assert code == EXIT_DATA
+
     def test_no_input_no_model_is_data_error(self, tmp_path):
         code = main(["compare", "--output-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA
@@ -325,6 +354,12 @@ class TestBenchCommand:
     def test_empty_sizes_is_data_error(self, tmp_path):
         code = main(["bench", "--sizes", ",", "--out", str(tmp_path / "b.csv")])
         assert code == EXIT_DATA
+
+    def test_size_over_cap_is_data_error(self, tmp_path):
+        out = tmp_path / "b.csv"
+        code = main(["bench", "--sizes", "1000000000000", "--out", str(out)])
+        assert code == EXIT_DATA
+        assert not out.exists()
 
 
 class TestUsageErrors:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from netscaffold.complexes import flag_complex_at
 from netscaffold.graph import build_filtration, make_graph
+from netscaffold.z2 import boundary_matrix, low, rank
 
 from .conftest import SQRT2
-from .oracles import flag_triangles
+from .oracles import components_bfs, flag_triangles, gf2_rank_lowbit
 
 
 def member_edges(t):
@@ -105,6 +106,56 @@ class TestAlongFiltration:
                 assert view.edge_ids[: previous.n_edges] == previous.edge_ids
                 assert view.triangles[: previous.n_triangles] == previous.triangles
             previous = view
+
+
+def positions(mask):
+    return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
+
+
+class TestForestAndReduction:
+    @given(tied_graph())
+    @settings(max_examples=80, deadline=None)
+    def test_fields_match_references_at_every_step(self, g):
+        f = build_filtration(g)
+        full = flag_complex_at(g, f.steps[-1])
+        n = g.n_vertices
+        for eps in f.steps:
+            cx = full.at(eps)
+            pairs = [cx.edge_vertices(p) for p in range(cx.n_edges)]
+            tree = positions(cx.tree)
+            # a spanning forest: n - c edges that connect what the
+            # complex connects
+            assert cx.tree < 1 << cx.n_edges
+            assert len(tree) == n - components_bfs(n, pairs)
+            assert components_bfs(n, [pairs[p] for p in tree]) == components_bfs(
+                n, pairs
+            )
+
+            d1 = boundary_matrix(cx, 1).columns
+            assert len(cx.cycles) == cx.n_edges
+            for p, mask in enumerate(cx.cycles):
+                if p in tree:
+                    assert mask == 0
+                    continue
+                assert (mask >> p) & 1
+                assert set(positions(mask)) - {p} <= set(tree)
+                boundary = 0
+                for q in positions(mask):
+                    boundary ^= d1[q]
+                assert boundary == 0
+
+            d2 = boundary_matrix(cx, 2).columns
+            assert len(cx.reduced) == cx.n_triangles
+            nonzero = [c for c in cx.reduced if c]
+            lows = [low(c) for c in nonzero]
+            assert len(set(lows)) == len(lows)
+            assert not set(lows) & set(tree)
+            assert len(nonzero) == rank(boundary_matrix(cx, 2))
+            # column t only ever gained earlier boundary columns
+            for t, col in enumerate(cx.reduced):
+                assert gf2_rank_lowbit(d2[:t] + [col ^ d2[t]]) == gf2_rank_lowbit(
+                    d2[:t]
+                )
 
 
 @st.composite

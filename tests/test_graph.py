@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netscaffold.graph import (
+    MAX_VERTICES,
     GraphFormatError,
     WeightedGraph,
     as_weight,
@@ -102,6 +103,30 @@ class TestEdgeListFormat:
     def test_round_trip_exact(self):
         g = make_graph(4, [(0, 1, "0.3"), (2, 3, "7/3")], labels="wxyz")
         assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+class TestVertexCap:
+    def test_cap_itself_accepted(self):
+        g = parse_edge_list(f'{{"n_vertices": {MAX_VERTICES}}}\n0,1,1\n')
+        assert g.n_vertices == MAX_VERTICES
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            f'{{"n_vertices": {MAX_VERTICES + 1}}}\n0,1,1\n',
+            '{"n_vertices": 1000000000000}\n',
+            "0,1000000000000,1\n",
+            f"0,{MAX_VERTICES},1\n",
+        ],
+        ids=["header_one_over", "header_huge", "vertex_id_huge", "vertex_id_one_over"],
+    )
+    def test_edge_list_over_cap_rejected(self, text):
+        with pytest.raises(GraphFormatError, match="limit"):
+            parse_edge_list(text)
+
+    def test_model_rejects_over_cap(self):
+        with pytest.raises(GraphFormatError, match="limit"):
+            WeightedGraph(n_vertices=MAX_VERTICES + 1, edges=())
 
 
 class TestAdjacencyFormat:

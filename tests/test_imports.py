@@ -1,8 +1,10 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and no private helper is dead.
 
-This is the lint step for unused imports. It covers every library
+This is the lint step. The unused-import check covers every library
 module except ``__init__.py`` (whose imports are the package's
-re-exports) and every test module.
+re-exports) and every test module. The dead-helper check covers the
+top-level ``_name`` functions and classes of the library: each must be
+referenced somewhere in the library outside its own definition.
 """
 
 import ast
@@ -11,11 +13,10 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-CHECKED = [
-    p
-    for p in sorted((ROOT / "src" / "netscaffold").glob("*.py"))
-    if p.name != "__init__.py"
-] + sorted((ROOT / "tests").glob("*.py"))
+LIBRARY = sorted((ROOT / "src" / "netscaffold").glob("*.py"))
+CHECKED = [p for p in LIBRARY if p.name != "__init__.py"] + sorted(
+    (ROOT / "tests").glob("*.py")
+)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -59,3 +60,61 @@ def test_checker_flags_only_unused_names():
 )
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names_read(tree: ast.AST, skip: ast.AST) -> set[str]:
+    """Names, attributes and imported names used in tree outside skip."""
+    names: set[str] = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def dead_private_helpers(sources: dict[str, str]) -> list[str]:
+    """Top-level ``_name`` functions and classes no module refers to,
+    as ``module:name``. A helper that only calls itself is dead."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            if not node.name.startswith("_") or node.name.startswith("__"):
+                continue
+            if not any(node.name in _names_read(t, node) for t in trees.values()):
+                dead.append(f"{module}:{node.name}")
+    return sorted(dead)
+
+
+def test_dead_helper_checker_flags_only_unreferenced_helpers():
+    sources = {
+        "a.py": (
+            "def _called(): pass\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "def _by_attribute(): pass\n"
+            "def _imported(): pass\n"
+            "class _Unused: pass\n"
+            "def public(): pass\n"
+            "def __getattr__(name): pass\n"
+            "_called()\n"
+        ),
+        "b.py": "import a\nfrom a import _imported\nprint(a._by_attribute)\n",
+    }
+    assert dead_private_helpers(sources) == ["a.py:_Unused", "a.py:_recursive"]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text() for p in LIBRARY}
+    assert dead_private_helpers(sources) == []

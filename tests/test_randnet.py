@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from netscaffold.graph import MAX_VERTICES
 from netscaffold.randnet import (
     GeneratorConfig,
     correlation_graph,
@@ -256,6 +257,22 @@ class TestGeneratorConfig:
     def test_non_integer_counts_rejected(self, model, params):
         with pytest.raises(ValueError, match="not an integer"):
             GeneratorConfig(model=model, params=params)
+
+    @pytest.mark.parametrize(
+        "model, params",
+        [
+            ("ws", {"n": MAX_VERTICES + 1, "k": 4, "p": 0.1}),
+            ("rgg", {"n": 10**12, "threshold": 0.5}),
+            ("er", {"n": MAX_VERTICES + 1, "m": 5}),
+        ],
+    )
+    def test_vertex_count_over_cap_rejected(self, model, params):
+        with pytest.raises(ValueError, match=str(MAX_VERTICES)):
+            GeneratorConfig(model=model, params=params)
+
+    def test_vertex_count_at_cap_accepted(self):
+        cfg = GeneratorConfig(model="er", params={"n": MAX_VERTICES, "m": 0})
+        assert cfg.params["n"] == MAX_VERTICES
 
     def test_bool_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
