@@ -197,6 +197,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
     if args.model is None:
         raise GraphFormatError("compare needs either --input or --model")
+    if args.sample < 1:
+        raise GraphFormatError(f"--sample must be at least 1, got {args.sample}")
     reports = []
     rows = ["instance,metric,slot,pearson,spearman,ks_stat,ks_p,ks_inconclusive"]
     for i in range(args.sample):

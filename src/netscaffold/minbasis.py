@@ -13,6 +13,13 @@ length within the same class are reported together as a variant set
 ambiguous come out of the same pass, one length level at a time, and
 are flagged as pathological, but never abort the run.
 
+Along a filtration the candidates come from one ``HortonSweep`` over
+ascending prefix views of the full complex. It scales the mu lengths
+once, recomputes a root's shortest-path tree only when a new edge can
+change it, and remembers the cycles already found to be boundaries.
+The pool at every step is exactly the Horton pool of that step's
+complex, so the basis is the same as from a fresh search.
+
 Draw sets are draws within the Horton candidate pool; a tied
 representative that is not of shortest-path form is invisible here.
 """
@@ -30,6 +37,7 @@ from .z2 import low
 
 __all__ = [
     "Cycle",
+    "HortonSweep",
     "VariantSet",
     "PathologyEvent",
     "MinimalBasisWithDraws",
@@ -182,7 +190,7 @@ def annotate_edges(cx: FlagComplex2) -> tuple[int, dict[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Horton candidate cycles
+# Horton candidate cycles, swept along a filtration
 
 
 def _mu_by_pos(cx: FlagComplex2, mu_weights: dict[int, Fraction] | None) -> list[Fraction]:
@@ -216,11 +224,13 @@ def _sp_tree(
 ) -> tuple[list[int | None], list[int], list[int], list[int]]:
     """Dijkstra tree from root with deterministic tie handling.
 
-    Weights are pre-scaled integers. Returns (dist, pred, depth,
+    Weights are pre-scaled integers. Returns (dist, pred, branch,
     pathmask). pred[u] is the smallest-id already-settled neighbor on a
     shortest path, which stays acyclic even with zero-weight edges.
-    pathmask[u] is the bitset of tree edge positions on the root-to-u
-    path.
+    branch[u] is the child of root whose subtree holds u (root for
+    itself), so the tree paths to two vertices meet only at root exactly
+    when their branches differ. pathmask[u] is the bitset of tree edge
+    positions on the root-to-u path.
     """
     dist: list[int | None] = [None] * n
     dist[root] = 0
@@ -240,92 +250,133 @@ def _sp_tree(
                 heapq.heappush(heap, (nd, v))
 
     pred = [-1] * n
-    depth = [0] * n
+    branch = [-1] * n
+    branch[root] = root
     pathmask = [0] * n
     done = [False] * n
-    pos_of: dict[tuple[int, int], int] = {}
     for u in order:
         if u != root:
-            best = -1
+            best = best_pos = -1
             for v, w, pos in adj[u]:
-                if done[v] and dist[v] + w == dist[u]:
-                    if best == -1 or v < best:
-                        best = v
-                        pos_of[(v, u)] = pos
-                    elif v == best:
-                        pos_of[(v, u)] = pos
+                if done[v] and dist[v] + w == dist[u] and (best == -1 or v < best):
+                    best, best_pos = v, pos
             # a settled witness always exists: the relaxer settled first
             pred[u] = best
-            depth[u] = depth[best] + 1
-            pathmask[u] = pathmask[best] | (1 << pos_of[(best, u)])
+            branch[u] = u if best == root else branch[best]
+            pathmask[u] = pathmask[best] | (1 << best_pos)
         done[u] = True
-    return dist, pred, depth, pathmask
+    return dist, pred, branch, pathmask
 
 
-def _lca(a: int, b: int, pred: list[int], depth: list[int]) -> int:
-    while depth[a] > depth[b]:
-        a = pred[a]
-    while depth[b] > depth[a]:
-        b = pred[b]
-    while a != b:
-        a = pred[a]
-        b = pred[b]
-    return a
+def _moves(dist: list[int | None], a: int, b: int, w: int) -> bool:
+    """Whether a new edge {a,b} of length w can change a shortest-path
+    tree with these distances.
 
-
-def _adjacency(
-    cx: FlagComplex2, imu: list[int]
-) -> list[list[tuple[int, int, int]]]:
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(cx.n_vertices)]
-    for p in range(cx.n_edges):
-        u, v = cx.edge_vertices(p)
-        adj[u].append((v, imu[p], p))
-        adj[v].append((u, imu[p], p))
-    return adj
-
-
-def _candidate_masks(cx: FlagComplex2, imu: list[int]) -> dict[int, int]:
-    """Deduped Horton cycle masks (over edge positions) -> mu-length.
-
-    For root v and edge (a,b): tree paths v->a, v->b plus the edge,
-    kept when the edge is not a tree edge and the paths meet only at v
-    (checked via the lowest common ancestor).
+    It cannot when it leaves the root's component alone, or when it is
+    strictly longer than the gap between its endpoints' distances: then
+    no distance changes, no new path ties an old one, and Dijkstra's
+    settle order only gains stale heap entries, so pred stays as it is.
+    A tie or a zero weight always counts as a change.
     """
-    adj = _adjacency(cx, imu)
-    n = cx.n_vertices
-    found: dict[int, int] = {}
-    for root in range(n):
-        dist, pred, depth, pathmask = _sp_tree(adj, n, root)
-        for p in range(cx.n_edges):
-            a, b = cx.edge_vertices(p)
-            if dist[a] is None or dist[b] is None:
-                continue
-            if pred[a] == b or pred[b] == a:
-                continue  # tree edge of this root
-            if _lca(a, b, pred, depth) != root:
-                continue
-            mask = pathmask[a] ^ pathmask[b] ^ (1 << p)
-            if mask not in found:
-                found[mask] = dist[a] + dist[b] + imu[p]
-    return found
+    da, db = dist[a], dist[b]
+    if da is None or db is None:
+        return (da is None) != (db is None)
+    return da + w <= db or db + w <= da
 
 
-def _fundamental_masks(cx: FlagComplex2, imu: list[int]) -> dict[int, int]:
-    """Fundamental cycles of the complex's forest, as mask -> length.
+def _length(mask: int, imu: list[int]) -> int:
+    length = 0
+    while mask:
+        lsb = mask & -mask
+        length += imu[lsb.bit_length() - 1]
+        mask ^= lsb
+    return length
 
-    Merged into the candidate pool so selection always has a spanning
-    family even when shortest-path ties thin out the Horton set.
+
+class HortonSweep:
+    """Horton candidate pools of ascending prefix views of one complex.
+
+    A sweep is built for the largest view it will see, its horizon: the
+    mu weights of the horizon's edges are checked and scaled to integers
+    once. Each ``advance`` takes a view that extends the previous one
+    and returns that view's Horton pool. For root v and edge (a,b) the
+    pool holds the tree paths v->a, v->b plus the edge, when the edge is
+    not a tree edge and the paths meet only at v.
+
+    The adjacency grows by the view's new edges. A root's shortest-path
+    tree is recomputed only when one of them can change it (``_moves``);
+    otherwise the root's earlier candidate edges stand and only the new
+    edges are tested. So every pool equals the one a fresh search of
+    the view would find.
+
+    ``retired`` collects masks found to be boundaries. A later view only
+    adds triangles, so they stay boundaries and need no annotation.
     """
-    out: dict[int, int] = {}
-    for mask in filter(None, cx.cycles):  # tree positions carry 0
-        length = 0
-        m = mask
-        while m:
-            lsb = m & -m
-            length += imu[lsb.bit_length() - 1]
-            m ^= lsb
-        out[mask] = length
-    return out
+
+    def __init__(
+        self, horizon: FlagComplex2, mu_weights: dict[int, Fraction] | None = None
+    ) -> None:
+        self.horizon = horizon
+        self.mu_weights = mu_weights
+        self.imu, self.denom = _scale_mu(_mu_by_pos(horizon, mu_weights))
+        self.cycle_lengths: list[int] = []  # of each seen position's cx.cycles
+        self.retired: set[int] = set()
+        self.epsilon: Fraction | None = None  # of the last view
+        n = horizon.n_vertices
+        self._ends = [horizon.edge_vertices(p) for p in range(horizon.n_edges)]
+        self._adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+        self._trees: list[tuple | None] = [None] * n
+        self._hits: list[list[int]] = [[] for _ in range(n)]  # candidate edges
+
+    def advance(self, cx: FlagComplex2) -> dict[int, int]:
+        """Horton cycles of the view cx, as edge-position mask -> scaled
+        mu-length (divide by ``denom`` for the exact length)."""
+        h = self.horizon
+        if cx.graph is not h.graph and cx.graph != h.graph:
+            raise ValueError("complex is not a view of the sweep's graph")
+        if self.epsilon is not None and cx.epsilon < self.epsilon:
+            raise ValueError(
+                f"view at {cx.epsilon} does not extend the last one at {self.epsilon}"
+            )
+        if cx.epsilon > h.epsilon:
+            raise ValueError(f"view at {cx.epsilon} is past the horizon {h.epsilon}")
+        self.epsilon = cx.epsilon
+        imu, ends, adj = self.imu, self._ends, self._adj
+        new = range(len(self.cycle_lengths), cx.n_edges)
+        for p in new:
+            a, b = ends[p]
+            adj[a].append((b, imu[p], p))
+            adj[b].append((a, imu[p], p))
+            self.cycle_lengths.append(_length(cx.cycles[p], imu))
+
+        n = len(adj)
+        found: dict[int, int] = {}
+        for root in range(n):
+            tree = self._trees[root]
+            if tree is None or any(_moves(tree[0], *ends[p], imu[p]) for p in new):
+                tree = self._trees[root] = _sp_tree(adj, n, root)
+                hits = self._hits[root] = []
+                scan = range(cx.n_edges)
+            else:
+                hits = self._hits[root]
+                scan = new
+            dist, pred, branch, pathmask = tree
+            for p in scan:
+                a, b = ends[p]
+                if (
+                    dist[a] is not None
+                    and dist[b] is not None
+                    and pred[a] != b
+                    and pred[b] != a  # not a tree edge of this root
+                    and branch[a] != branch[b]
+                ):
+                    hits.append(p)
+            for p in hits:
+                a, b = ends[p]
+                mask = pathmask[a] ^ pathmask[b] ^ (1 << p)
+                if mask not in found:
+                    found[mask] = dist[a] + dist[b] + imu[p]
+        return found
 
 
 def horton_candidates(
@@ -336,11 +387,10 @@ def horton_candidates(
     mu_weights overrides the filtration weights for length accounting
     (keyed by graph edge id); shortest-path trees use the same metric.
     """
-    imu, denom = _scale_mu(_mu_by_pos(cx, mu_weights))
-    found = _candidate_masks(cx, imu)
+    sweep = HortonSweep(cx, mu_weights)
     cycles = [
-        Cycle(edges=cx.ids_of_mask(m), length_mu=Fraction(l, denom))
-        for m, l in found.items()
+        Cycle(edges=cx.ids_of_mask(m), length_mu=Fraction(l, sweep.denom))
+        for m, l in sweep.advance(cx).items()
     ]
     cycles.sort(key=lambda c: c.sort_key)
     return cycles
@@ -361,19 +411,24 @@ def _reduce(span: dict[int, int], x: int) -> int:
 
 
 def min_basis_with_draws(
-    cx: FlagComplex2, mu_weights: dict[int, Fraction] | None = None
+    cx: FlagComplex2,
+    mu_weights: dict[int, Fraction] | None = None,
+    sweep: HortonSweep | None = None,
 ) -> MinimalBasisWithDraws:
     """Minimum-length homology basis with tied-representative sets.
 
-    One greedy pass over the candidates in (length, edge ids) order,
-    one length level at a time, keeps a candidate when its class is
-    independent of the classes kept so far. The kept candidates form
-    the unique minimum basis of the pool under that order. A kept
-    candidate's variant set is every candidate of its level with the
-    same class. A level that keeps fewer candidates than it has
-    distinct classes not spanned at its start is a pathology: which of
-    those classes enter the basis is decided only by edge-id order. It
-    is logged as a warning and recorded, never raised.
+    The candidates are the Horton pool of cx from ``sweep`` (a fresh
+    one-step sweep when None; a given sweep must carry the same
+    mu_weights object) plus the fundamental cycles of cx's forest. One
+    greedy pass over them in (length, edge ids) order, one length level
+    at a time, keeps a candidate when its class is independent of the
+    classes kept so far. The kept candidates form the unique minimum
+    basis of the pool under that order. A kept candidate's variant set
+    is every candidate of its level with the same class. A level that
+    keeps fewer candidates than it has distinct classes not spanned at
+    its start is a pathology: which of those classes enter the basis is
+    decided only by edge-id order. It is logged as a warning and
+    recorded, never raised.
     """
     ednn = _annotate(cx)
     beta1 = ednn.beta1
@@ -382,32 +437,40 @@ def min_basis_with_draws(
             beta1=0, variant_sets=(), pathology_events=()
         )
 
-    imu, denom = _scale_mu(_mu_by_pos(cx, mu_weights))
-    found = _candidate_masks(cx, imu)
-    for mask, length in _fundamental_masks(cx, imu).items():
-        found.setdefault(mask, length)
-    # (scaled length, edge ids, class); edge id sets are distinct, so
-    # the tuples sort by (length, edge ids) and never compare classes
-    cands: list[tuple[int, tuple[int, ...], int]] = []
+    if sweep is None:
+        sweep = HortonSweep(cx, mu_weights)
+    elif sweep.mu_weights is not mu_weights:
+        raise ValueError("sweep was built for other mu weights")
+    found = sweep.advance(cx)
+    # the fundamental cycles span every class, so the pool always does
+    for mask, length in zip(cx.cycles, sweep.cycle_lengths):
+        if mask:  # tree positions carry 0
+            found.setdefault(mask, length)
+    levels: dict[int, list[int]] = {}
     for mask, length in found.items():
-        ann = ednn.annotation_of_mask(mask)
-        if ann:  # a zero class is a boundary, never selectable
-            cands.append((length, cx.ids_of_mask(mask), ann))
-    cands.sort()
+        if mask not in sweep.retired:
+            levels.setdefault(length, []).append(mask)
 
     span: dict[int, int] = {}
     kept: list[VariantSet] = []
     events: list[PathologyEvent] = []
-    i = 0
-    while i < len(cands) and len(kept) < beta1:
-        j = i
-        level = cands[i][0]
-        while j < len(cands) and cands[j][0] == level:
-            j += 1
-        length_mu = Fraction(level, denom)
+    for level in sorted(levels):
+        if len(kept) == beta1:
+            break
+        # classes and edge ids only for the levels the greedy reaches;
+        # edge id sets are distinct, so the sort never compares classes
+        cands: list[tuple[tuple[int, ...], int]] = []
+        for mask in levels[level]:
+            ann = ednn.annotation_of_mask(mask)
+            if ann:
+                cands.append((cx.ids_of_mask(mask), ann))
+            else:  # a boundary, never selectable
+                sweep.retired.add(mask)
+        cands.sort()
+        length_mu = Fraction(level, sweep.denom)
         # classes in order of their first (smallest edge ids) member
         by_class: dict[int, list[tuple[int, ...]]] = {}
-        for _, ids, ann in cands[i:j]:
+        for ids, ann in cands:
             by_class.setdefault(ann, []).append(ids)
         # not spanned at the start of the level
         new_classes = [a for a in by_class if _reduce(span, a)]
@@ -438,7 +501,6 @@ def min_basis_with_draws(
                 ev.rank_increment,
             )
             events.append(ev)
-        i = j
     if len(kept) < beta1:
         # unreachable while the fundamental cycles, which span every
         # class, are in the pool

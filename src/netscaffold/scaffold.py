@@ -7,9 +7,13 @@ basis computed on a prefix of the barcode's complex. The draws
 variant splits each count evenly across the tied representatives of a
 variant set, in exact rationals.
 
-Per-step basis computations are independent, so they can fan out over a
-process pool; results are aggregated in step order either way, and the
-arithmetic is exact, so worker count never changes the output.
+The per-step bases come from one Horton sweep along the filtration
+(``minbasis.HortonSweep``), which carries shortest-path trees and known
+boundaries from step to step. With workers > 1 the active steps are cut
+into contiguous chunks, one sweep per chunk, run in a process pool.
+Every sweep finds exactly the pool a fresh search would, results are
+aggregated in step order either way, and the arithmetic is exact, so
+worker count never changes the output.
 """
 
 from __future__ import annotations
@@ -21,7 +25,12 @@ from fractions import Fraction
 
 from .complexes import FlagComplex2
 from .graph import Filtration
-from .minbasis import MinimalBasisWithDraws, PathologyEvent, min_basis_with_draws
+from .minbasis import (
+    HortonSweep,
+    MinimalBasisWithDraws,
+    PathologyEvent,
+    min_basis_with_draws,
+)
 from .persistence import Barcode, bars_alive_at
 
 __all__ = [
@@ -111,9 +120,21 @@ def _init_worker(cx: FlagComplex2, mu_weights: dict[int, Fraction] | None) -> No
     _worker_input = (cx, mu_weights)
 
 
-def _step_job(eps: Fraction) -> tuple[Fraction, MinimalBasisWithDraws]:
-    cx, mu_weights = _worker_input
-    return eps, min_basis_with_draws(cx.at(eps), mu_weights)
+def _sweep_chunk(
+    cx: FlagComplex2,
+    mu_weights: dict[int, Fraction] | None,
+    chunk: list[Fraction],
+) -> list[tuple[Fraction, MinimalBasisWithDraws]]:
+    """Bases of ascending steps from one Horton sweep over their views."""
+    sweep = HortonSweep(cx.at(chunk[-1]), mu_weights)
+    return [
+        (eps, min_basis_with_draws(cx.at(eps), mu_weights, sweep))
+        for eps in chunk
+    ]
+
+
+def _chunk_job(chunk: list[Fraction]) -> list[tuple[Fraction, MinimalBasisWithDraws]]:
+    return _sweep_chunk(*_worker_input, chunk)
 
 
 def step_bases(
@@ -125,22 +146,29 @@ def step_bases(
     """Minimum basis per filtration step, skipping steps with no cycles.
 
     The live-bar profile of the barcode tells which steps carry dim-1
-    classes; only those get a basis job, on its step's prefix view of
-    the barcode's complex. With workers > 1 the jobs run in a process
-    pool that receives the full complex once per worker, and each job
-    only its step; results come back in step order either way.
+    classes; only those get a basis, on its step's prefix view of the
+    barcode's complex. The active steps are cut into min(workers,
+    active) contiguous chunks of near-equal length, and each chunk is
+    one Horton sweep. A single chunk runs in this process; more run in
+    a process pool that receives the full complex once per worker, and
+    each job only its chunk's steps. Results come back in step order
+    either way.
     """
     _check_barcode(f, barcode)
     cx = barcode.complex
     active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
-    if workers <= 1 or len(active) <= 1:
-        return [
-            (eps, min_basis_with_draws(cx.at(eps), mu_weights)) for eps in active
-        ]
+    if not active:
+        return []
+    k = min(max(workers, 1), len(active))
+    if k == 1:
+        return _sweep_chunk(cx, mu_weights, active)
+    size, extra = divmod(len(active), k)
+    bounds = [c * size + min(c, extra) for c in range(k + 1)]
+    chunks = [active[bounds[c]:bounds[c + 1]] for c in range(k)]
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(cx, mu_weights)
+        max_workers=k, initializer=_init_worker, initargs=(cx, mu_weights)
     ) as pool:
-        return list(pool.map(_step_job, active))
+        return [r for part in pool.map(_chunk_job, chunks) for r in part]
 
 
 def _aggregate_minimal(

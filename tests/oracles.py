@@ -3,13 +3,15 @@
 Everything here is deliberately written without importing package
 internals: breadth-first components instead of union-find, dense
 Gaussian elimination with lowest-bit pivots instead of bitset column
-reduction with highest-bit pivots, and exhaustive cycle-space
-enumeration instead of candidate generation. Slow on purpose; only
-run on small inputs.
+reduction with highest-bit pivots, exhaustive cycle-space
+enumeration instead of candidate generation, and one fresh Horton
+search per complex instead of a sweep along the filtration. Slow on
+purpose; only run on small inputs.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -223,3 +225,87 @@ def brute_min_basis_total(
     beta1 = g - gf2_rank_lowbit(bnd)
     assert n_picked == beta1, (n_picked, beta1)
     return total
+
+
+def _sp_tree(adj, n: int, root: int):
+    """Dijkstra tree from root: (dist, pred, depth, pathmask).
+
+    pred[u] is the smallest-id already-settled neighbor on a shortest
+    path; pathmask[u] is the bitset of edge positions on the tree path.
+    """
+    dist = [None] * n
+    dist[root] = 0
+    settled = [False] * n
+    order = []
+    heap = [(0, root)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        order.append(u)
+        for v, w, _pos in adj[u]:
+            nd = d + w
+            if dist[v] is None or nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+
+    pred = [-1] * n
+    depth = [0] * n
+    pathmask = [0] * n
+    done = [False] * n
+    for u in order:
+        if u != root:
+            best = best_pos = -1
+            for v, w, pos in adj[u]:
+                if done[v] and dist[v] + w == dist[u] and (best == -1 or v < best):
+                    best, best_pos = v, pos
+            pred[u] = best
+            depth[u] = depth[best] + 1
+            pathmask[u] = pathmask[best] | (1 << best_pos)
+        done[u] = True
+    return dist, pred, depth, pathmask
+
+
+def _lca(a: int, b: int, pred: list[int], depth: list[int]) -> int:
+    while depth[a] > depth[b]:
+        a = pred[a]
+    while depth[b] > depth[a]:
+        b = pred[b]
+    while a != b:
+        a = pred[a]
+        b = pred[b]
+    return a
+
+
+def horton_pool(cx, mu: list[Fraction]) -> dict[int, Fraction]:
+    """Horton cycles of one flag complex from a fresh search, as
+    edge-position mask -> length; mu[p] is the length of position p.
+
+    For root v and edge (a,b): tree paths v->a, v->b plus the edge,
+    kept when the edge is not a tree edge of v and the paths meet only
+    at v (checked by walking up to the lowest common ancestor). This is
+    the per-step enumeration the library ran before its sweep kept
+    shortest-path trees from step to step.
+    """
+    n = cx.n_vertices
+    adj = [[] for _ in range(n)]
+    for p in range(cx.n_edges):
+        u, v = cx.edge_vertices(p)
+        adj[u].append((v, mu[p], p))
+        adj[v].append((u, mu[p], p))
+    found: dict[int, Fraction] = {}
+    for root in range(n):
+        dist, pred, depth, pathmask = _sp_tree(adj, n, root)
+        for p in range(cx.n_edges):
+            a, b = cx.edge_vertices(p)
+            if dist[a] is None or dist[b] is None:
+                continue
+            if pred[a] == b or pred[b] == a:
+                continue
+            if _lca(a, b, pred, depth) != root:
+                continue
+            mask = pathmask[a] ^ pathmask[b] ^ (1 << p)
+            if mask not in found:
+                found[mask] = dist[a] + dist[b] + mu[p]
+    return found

@@ -325,6 +325,18 @@ class TestCompareCommand:
         )
         assert code == EXIT_DATA
 
+    @pytest.mark.parametrize("sample", ["0", "-3"])
+    def test_sample_below_one_is_data_error(self, tmp_path, sample):
+        outdir = tmp_path / "out"
+        code = main(
+            [
+                "compare", "--model", "ws", "--n", "10", "--k", "4",
+                "--p", "0.1", "--sample", sample, "--output-dir", str(outdir),
+            ]
+        )
+        assert code == EXIT_DATA
+        assert not outdir.exists()
+
     def test_no_input_no_model_is_data_error(self, tmp_path):
         code = main(["compare", "--output-dir", str(tmp_path / "out")])
         assert code == EXIT_DATA

@@ -5,11 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netscaffold.complexes import flag_complex_at
-from netscaffold.graph import make_graph, relabel
+from netscaffold.graph import build_filtration, make_graph, relabel
 from netscaffold.minbasis import (
     Cycle,
+    HortonSweep,
     MinimalBasisWithDraws,
     PathologyEvent,
     VariantSet,
@@ -17,6 +20,8 @@ from netscaffold.minbasis import (
     horton_candidates,
     min_basis_with_draws,
 )
+from netscaffold.persistence import bars_alive_at, compute_persistence
+from netscaffold.scaffold import step_bases
 
 from .oracles import (
     all_cycle_vectors,
@@ -24,6 +29,7 @@ from .oracles import (
     components_bfs,
     flag_triangles,
     gf2_rank_lowbit,
+    horton_pool,
     make_residue_fn,
 )
 
@@ -378,3 +384,114 @@ class TestGreedyContract:
                     continue
                 prefix = [r for k, r in reps if k <= cand.sort_key]
                 assert gf2_rank_lowbit(prefix + [a]) == gf2_rank_lowbit(prefix)
+
+
+@st.composite
+def graph_and_mu(draw):
+    """Graphs with tied and zero weights or with rational weights, and
+    half of them with rational mu weights, zero included."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    weight = draw(
+        st.sampled_from([
+            st.sampled_from([0, Fraction(1, 2), 1, 2]),
+            st.fractions(min_value=0, max_value=5, max_denominator=7),
+        ])
+    )
+    ws = draw(st.lists(weight, min_size=len(chosen), max_size=len(chosen)))
+    g = make_graph(n, [(u, v, w) for (u, v), w in zip(chosen, ws)])
+    mu = None
+    if draw(st.booleans()):
+        mu_list = draw(
+            st.lists(
+                st.fractions(min_value=0, max_value=4, max_denominator=5),
+                min_size=g.n_edges,
+                max_size=g.n_edges,
+            )
+        )
+        mu = dict(enumerate(mu_list))
+    return g, mu
+
+
+def mu_of(cx, mu):
+    return [
+        cx.edge_weight(p) if mu is None else mu[cx.edge_ids[p]]
+        for p in range(cx.n_edges)
+    ]
+
+
+class TestHortonSweep:
+    @given(graph_and_mu())
+    @settings(max_examples=120, deadline=None)
+    def test_sweep_matches_fresh_search_at_every_active_step(self, case):
+        g, mu = case
+        f = build_filtration(g)
+        barcode = compute_persistence(f)
+        cx = barcode.complex
+        active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
+        assert step_bases(f, barcode, mu) == [
+            (eps, min_basis_with_draws(cx.at(eps), mu)) for eps in active
+        ]
+        # over the active steps, as step_bases sweeps, and over every step
+        for steps in (active, f.steps):
+            if not steps:
+                continue
+            sweep = HortonSweep(cx.at(steps[-1]), mu)
+            for eps in steps:
+                view = cx.at(eps)
+                got = {
+                    m: Fraction(l, sweep.denom)
+                    for m, l in sweep.advance(view).items()
+                }
+                assert got == horton_pool(view, mu_of(view, mu))
+
+    def test_view_that_does_not_extend_the_last_one_raises(
+        self, theta_graph, unit_square
+    ):
+        cx = full_complex(theta_graph)
+        sweep = HortonSweep(cx)
+        sweep.advance(cx.at(Fraction(3, 2)))
+        with pytest.raises(ValueError, match="does not extend"):
+            sweep.advance(cx.at(Fraction(1)))
+        with pytest.raises(ValueError, match="not a view of the sweep's graph"):
+            sweep.advance(full_complex(unit_square))
+        # a failed call leaves the sweep where it was
+        assert sweep.advance(cx) == sweep.advance(cx)
+
+    def test_view_past_the_horizon_raises(self, theta_graph):
+        cx = full_complex(theta_graph)
+        sweep = HortonSweep(cx.at(Fraction(1)))
+        with pytest.raises(ValueError, match="past the horizon"):
+            sweep.advance(cx)
+
+    def test_sweep_for_other_mu_weights_is_rejected(self, theta_graph):
+        cx = full_complex(theta_graph)
+        mu = {i: Fraction(1) for i in range(theta_graph.n_edges)}
+        with pytest.raises(ValueError, match="other mu weights"):
+            min_basis_with_draws(cx, mu, HortonSweep(cx))
+
+    def test_retired_masks_are_boundaries_of_later_views(self):
+        # a filled triangle below a square: the greedy meets the triangle
+        # (length 3) first, finds its class 0 and retires it; the next
+        # step adds the filled triangle 0-2-3 and keeps the square alive
+        g = make_graph(
+            6,
+            [
+                (0, 1, 1), (1, 2, 1), (0, 2, 1),
+                (2, 3, 1), (3, 4, 1), (4, 5, 1), (2, 5, 1),
+                (0, 3, 2),
+            ],
+        )
+        cx = full_complex(g)
+        sweep = HortonSweep(cx)
+        first = min_basis_with_draws(cx.at(Fraction(1)), None, sweep)
+        assert first == min_basis_with_draws(cx.at(Fraction(1)))
+        tri = sum(1 << cx.edge_position(u, v) for u, v in ((0, 1), (1, 2), (0, 2)))
+        assert sweep.retired == {tri}
+        assert min_basis_with_draws(cx, None, sweep) == min_basis_with_draws(cx)
+        assert len(sweep.retired) == 2
+        _, ann_by_id = annotate_edges(cx)
+        for mask in sweep.retired:
+            by_id = sum(1 << eid for eid in cx.ids_of_mask(mask))
+            assert ann_of_cycle(ann_by_id, by_id) == 0

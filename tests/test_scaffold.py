@@ -195,6 +195,28 @@ class TestStepBases:
             f, serial
         ) == minimal_scaffold_with_draws(f, pooled)
 
+    @pytest.mark.parametrize("seed", [3, 4, 6])
+    def test_chunk_boundaries_never_change_results(self, seed):
+        # tied weights; 2 and 3 chunks, and one chunk per active step
+        rng = random.Random(seed)
+        g = make_graph(
+            8,
+            [
+                (u, v, Fraction(rng.randint(1, 12), 2))
+                for u in range(8)
+                for v in range(u + 1, 8)
+                if rng.random() < 0.5
+            ],
+        )
+        f = build_filtration(g)
+        barcode = compute_persistence(f)
+        mu = {i: Fraction(i % 3, 2) for i in range(g.n_edges)}
+        for mu_weights in (None, mu):
+            serial = step_bases(f, barcode, mu_weights)
+            assert 3 <= len(serial) <= 6
+            for workers in (2, 3, len(serial) + 2):
+                assert step_bases(f, barcode, mu_weights, workers) == serial
+
     def test_barcode_of_another_graph_is_rejected(self, theta_graph, unit_square):
         f = build_filtration(theta_graph)
         other = compute_persistence(build_filtration(unit_square))
@@ -210,6 +232,55 @@ class TestStepBases:
         barcode = compute_persistence(twin)
         assert loose_scaffold(f, barcode) == loose_of(f)
         assert step_bases(f, barcode) == bases_of(f)
+
+
+class TestMuWeights:
+    """Only the edges of active steps need mu weights, in every chunk."""
+
+    @pytest.fixture
+    def two_squares(self):
+        # squares at steps 1 and 2, filled at step 3; a bridge at step 4
+        g = make_graph(
+            8,
+            [
+                (0, 1, 1), (1, 2, 1), (2, 3, 1), (0, 3, 1),
+                (4, 5, 2), (5, 6, 2), (6, 7, 2), (4, 7, 2),
+                (0, 2, 3), (4, 6, 3),
+                (3, 4, 4),
+            ],
+        )
+        f = build_filtration(g)
+        barcode = compute_persistence(f)
+        ids = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
+        mu = {i: Fraction(1, 1 + i % 2) for i in ids.values()}
+        return f, barcode, ids, mu
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_edges_after_the_last_active_step_need_none(self, two_squares, workers):
+        f, barcode, ids, mu = two_squares
+        full = step_bases(f, barcode, mu, workers)
+        assert [eps for eps, _ in full] == [1, 2]
+        for late in ((0, 2), (4, 6), (3, 4)):
+            del mu[ids[late]]
+        assert step_bases(f, barcode, mu, workers) == full
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("edge", [(0, 1), (5, 6)])
+    def test_missing_edge_of_an_active_step_raises(self, two_squares, workers, edge):
+        f, barcode, ids, mu = two_squares
+        del mu[ids[edge]]
+        with pytest.raises(ValueError, match=f"^mu_weights missing edge id {ids[edge]}$"):
+            step_bases(f, barcode, mu, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("edge", [(2, 3), (4, 7)])
+    def test_negative_weight_in_an_active_step_raises(self, two_squares, workers, edge):
+        f, barcode, ids, mu = two_squares
+        mu[ids[edge]] = Fraction(-1, 3)
+        with pytest.raises(
+            ValueError, match=f"^negative mu weight for edge id {ids[edge]}$"
+        ):
+            step_bases(f, barcode, mu, workers)
 
 
 class TestRanking:
