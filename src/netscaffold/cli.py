@@ -240,6 +240,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if not sizes:
         raise GraphFormatError("empty --sizes")
+    if args.seeds < 1:
+        raise GraphFormatError(f"--seeds must be at least 1, got {args.seeds}")
     rows = ["model,n,k,p,seed,loose_ms,minimal_ms"]
     for n in sizes:
         k = args.k if args.k is not None else n // 2

@@ -9,6 +9,7 @@ an epsilon.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -36,6 +37,15 @@ ADJACENCY_SYMMETRY_TOL = Fraction(1, 10**12)
 # past the edge count would otherwise allocate that much memory.
 MAX_VERTICES = 100_000
 
+# Largest decimal exponent accepted in a weight string. Fraction builds
+# 10**exponent, so "1e99999999" would take minutes. A mantissa holds at
+# most 4300 digits on each side of the point (Python's int limit), so a
+# nonzero weight past this exponent is outside the float range. The
+# exponent may group its digits with underscores, as Fraction accepts;
+# int() parses those too and rejects malformed groups.
+_MAX_EXPONENT = 10_000
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
 
 class GraphFormatError(ValueError):
     """Input text cannot be parsed into a valid weighted graph."""
@@ -56,6 +66,9 @@ def as_weight(value: object) -> Fraction:
         elif isinstance(value, (int, Fraction)):
             w = Fraction(value)
         elif isinstance(value, str):
+            exp = _EXPONENT.search(value)
+            if exp and abs(int(exp.group(1))) > _MAX_EXPONENT:
+                raise ValueError("decimal exponent out of range")
             w = Fraction(value.strip())
         else:
             raise TypeError(f"unsupported weight type {type(value).__name__}")
@@ -167,7 +180,8 @@ def parse_edge_list(text: str) -> WeightedGraph:
     if lines and lines[0].startswith("{"):
         try:
             header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and over-long integers
             raise GraphFormatError(f"bad JSON header: {exc}") from None
         if not isinstance(header, dict):
             raise GraphFormatError("JSON header must be an object")

@@ -10,7 +10,8 @@ variant set, in exact rationals.
 The per-step bases come from one Horton sweep along the filtration
 (``minbasis.HortonSweep``), which carries shortest-path trees and known
 boundaries from step to step. With workers > 1 the active steps are cut
-into contiguous chunks, one sweep per chunk, run in a process pool.
+into contiguous chunks of near-equal total edge count, one sweep per
+chunk, run in a process pool.
 Every sweep finds exactly the pool a fresh search would, results are
 aggregated in step order either way, and the arithmetic is exact, so
 worker count never changes the output.
@@ -18,10 +19,12 @@ worker count never changes the output.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .complexes import FlagComplex2
 from .graph import Filtration
@@ -137,6 +140,20 @@ def _chunk_job(chunk: list[Fraction]) -> list[tuple[Fraction, MinimalBasisWithDr
     return _sweep_chunk(*_worker_input, chunk)
 
 
+def _chunk_bounds(costs: list[int], k: int) -> list[int]:
+    """Cut points of k nonempty contiguous chunks of costs whose sums
+    are as near k-th parts of the total as the order allows."""
+    cum = list(accumulate(costs))
+    bounds = [0]
+    for c in range(1, k):
+        target = cum[-1] * c / k
+        i = bisect_left(cum, target)  # first prefix sum reaching target
+        if i > 0 and target - cum[i - 1] < cum[i] - target:
+            i -= 1
+        bounds.append(min(max(i + 1, bounds[-1] + 1), len(costs) - k + c))
+    return bounds + [len(costs)]
+
+
 def step_bases(
     f: Filtration,
     barcode: Barcode,
@@ -148,11 +165,12 @@ def step_bases(
     The live-bar profile of the barcode tells which steps carry dim-1
     classes; only those get a basis, on its step's prefix view of the
     barcode's complex. The active steps are cut into min(workers,
-    active) contiguous chunks of near-equal length, and each chunk is
-    one Horton sweep. A single chunk runs in this process; more run in
-    a process pool that receives the full complex once per worker, and
-    each job only its chunk's steps. Results come back in step order
-    either way.
+    active) contiguous chunks, and each chunk is one Horton sweep. A
+    step's work grows with its view's edge count, so the cuts balance
+    the chunks' summed edge counts. A single chunk runs in this
+    process; more run in a process pool that receives the full complex
+    once per worker, and each job only its chunk's steps. Results come
+    back in step order either way.
     """
     _check_barcode(f, barcode)
     cx = barcode.complex
@@ -162,8 +180,7 @@ def step_bases(
     k = min(max(workers, 1), len(active))
     if k == 1:
         return _sweep_chunk(cx, mu_weights, active)
-    size, extra = divmod(len(active), k)
-    bounds = [c * size + min(c, extra) for c in range(k + 1)]
+    bounds = _chunk_bounds([cx.at(eps).n_edges for eps in active], k)
     chunks = [active[bounds[c]:bounds[c + 1]] for c in range(k)]
     with ProcessPoolExecutor(
         max_workers=k, initializer=_init_worker, initargs=(cx, mu_weights)

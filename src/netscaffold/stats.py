@@ -4,6 +4,10 @@ Shortest-path metrics run on exact rational lengths so equal-length
 paths are recognized exactly; only the final summaries become floats.
 Correlations return None instead of NaN when an input vector is
 constant, and those pairs are excluded from aggregate means.
+
+Midranks are computed here with numpy. The KS p-value is the only use
+of scipy: ``ks_two_sample`` imports ``scipy.special.kolmogorov`` when
+it is first called, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import distributions, rankdata
 
 from .graph import WeightedGraph
 from .scaffold import Scaffold
@@ -237,6 +240,21 @@ def pearson(x, y) -> float | None:
     return float(np.corrcoef(x, y)[0, 1])
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of the flattened x, tied values sharing the mean of
+    their ranks; all NaN when x holds a NaN.
+
+    Every rank is an exact half, so this equals
+    ``scipy.stats.rankdata(x)`` bit for bit.
+    """
+    x = x.ravel()
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return ((ends - counts + 1 + ends) / 2)[inverse]
+
+
 def spearman(x, y) -> float | None:
     """Rank correlation via Pearson on midranks; None when undefined."""
     x = np.asarray(x, dtype=float)
@@ -245,7 +263,7 @@ def spearman(x, y) -> float | None:
         raise ValueError("length mismatch")
     if x.size < 2:
         return None
-    return pearson(rankdata(x), rankdata(y))
+    return pearson(_midranks(x), _midranks(y))
 
 
 def ks_two_sample(x, y) -> tuple[float, float]:
@@ -254,6 +272,8 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     D is the exact sup-distance of the empirical CDFs; the p-value uses
     the Kolmogorov limiting distribution at sqrt(nx*ny/(nx+ny)) * D.
     """
+    from scipy.special import kolmogorov  # the only scipy use; see module doc
+
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
     nx, ny = x.size, y.size
@@ -264,7 +284,7 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     cdf_y = np.searchsorted(y, grid, side="right") / ny
     d = float(np.max(np.abs(cdf_x - cdf_y)))
     n_eff = nx * ny / (nx + ny)
-    p = float(distributions.kstwobign.sf(math.sqrt(n_eff) * d))
+    p = float(kolmogorov(math.sqrt(n_eff) * d))
     return d, min(max(p, 0.0), 1.0)
 
 

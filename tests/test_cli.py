@@ -220,8 +220,13 @@ class TestScaffoldCommand:
             '{"labels": 5}\n0,1,1\n',
             # the square dies at 1e400, past the float range
             "0,1,1\n1,2,1\n2,3,1\n0,3,1\n0,2,1e400\n",
+            "0,1,1e99999999\n",
+            '{"x": ' + "[" * 5000 + "]" * 5000 + "}\n0,1,1\n",
         ],
-        ids=["short_row", "null_n_vertices", "scalar_labels", "overflow_weight"],
+        ids=[
+            "short_row", "null_n_vertices", "scalar_labels", "overflow_weight",
+            "huge_exponent", "deep_json_header",
+        ],
     )
     def test_malformed_input_is_data_error(self, tmp_path, text):
         path = tmp_path / "bad.edges"
@@ -371,6 +376,14 @@ class TestBenchCommand:
         out = tmp_path / "b.csv"
         code = main(["bench", "--sizes", "1000000000000", "--out", str(out)])
         assert code == EXIT_DATA
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_below_one_is_data_error(self, tmp_path, capsys, seeds):
+        out = tmp_path / "b.csv"
+        code = main(["bench", "--sizes", "6", "--seeds", seeds, "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "--seeds must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
 

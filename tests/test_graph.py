@@ -43,6 +43,29 @@ class TestWeights:
         with pytest.raises(GraphFormatError):
             as_weight(float("nan"))
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1e99999999", "0E-99999999", "5e+10001 ", "1e" + "9" * 5000,
+            "1e99_999_999", ".5E+9_999_999_9", "1e1__0", "1e_10",
+        ],
+        ids=[
+            "huge", "zero_tiny", "just_past", "overlong",
+            "underscored", "underscored_signed", "double_underscore", "leading_underscore",
+        ],
+    )
+    def test_exponent_past_the_bound_rejected_without_expanding(self, text):
+        # 10**99999999 alone would take minutes to build
+        with pytest.raises(GraphFormatError):
+            as_weight(text)
+
+    def test_exponent_within_the_bound(self):
+        assert as_weight("25e-1") == Fraction(5, 2)
+        assert as_weight("1e-10000") == Fraction(1, 10**10000)
+        assert as_weight("1e1_0") == Fraction(10**10)
+        with pytest.raises(GraphFormatError):
+            as_weight("1e10000")  # past the float range
+
 
 class TestGraphModel:
     def test_canonicalization_sorts_and_orients(self):
@@ -99,6 +122,15 @@ class TestEdgeListFormat:
     def test_negative_id(self):
         with pytest.raises(GraphFormatError):
             parse_edge_list("-1,0,1\n")
+
+    @pytest.mark.parametrize(
+        "header",
+        ['{"x": ' + "[" * 5000 + "]" * 5000 + "}", '{"n_vertices": ' + "9" * 5000 + "}"],
+        ids=["deep_nesting", "overlong_integer"],
+    )
+    def test_header_json_decoder_errors_are_format_errors(self, header):
+        with pytest.raises(GraphFormatError, match="bad JSON header"):
+            parse_edge_list(header + "\n0,1,1\n")
 
     def test_round_trip_exact(self):
         g = make_graph(4, [(0, 1, "0.3"), (2, 3, "7/3")], labels="wxyz")

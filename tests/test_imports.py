@@ -1,13 +1,21 @@
-"""No module imports a name it never uses, and no private helper is dead.
+"""No module imports a name it never uses, no private helper is dead,
+and no command but ``compare`` loads scipy.
 
-This is the lint step. The unused-import check covers every library
-module except ``__init__.py`` (whose imports are the package's
-re-exports) and every test module. The dead-helper check covers the
-top-level ``_name`` functions and classes of the library: each must be
-referenced somewhere in the library outside its own definition.
+The first two checks are the lint step. The unused-import check covers
+every library module except ``__init__.py`` (whose imports are the
+package's re-exports) and every test module. The dead-helper check
+covers the top-level ``_name`` functions and classes of the library:
+each must be referenced somewhere in the library outside its own
+definition. The import guard runs each case in a fresh interpreter and
+lists the scipy modules it loaded: importing the package must load
+none, and ``compare`` only ``scipy.special``.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -118,3 +126,53 @@ def test_dead_helper_checker_flags_only_unreferenced_helpers():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text() for p in LIBRARY}
     assert dead_private_helpers(sources) == []
+
+
+def scipy_modules_loaded(code: str, cwd: Path) -> list[str]:
+    """The scipy modules a fresh interpreter holds after running code."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = (
+        "\nimport json, sys\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code + probe],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+GRAPH = '{"n_vertices": 5}\n0,1,1\n1,2,1\n2,3,1\n0,3,1\n0,4,3/2\n2,4,3/2\n'
+
+
+def run_cli(argv: list[str]) -> str:
+    return (
+        "from netscaffold.cli import main\n"
+        f"assert main({argv!r}) == 0\n"
+    )
+
+
+def test_package_import_loads_no_scipy(tmp_path):
+    code = "import netscaffold, netscaffold.cli\n"
+    assert scipy_modules_loaded(code, tmp_path) == []
+
+
+@pytest.mark.parametrize("command", ["persistence", "scaffold"])
+def test_pipeline_commands_load_no_scipy(tmp_path, command):
+    (tmp_path / "g.edges").write_text(GRAPH)
+    code = run_cli([command, "--input", "g.edges", "--output-dir", "out"])
+    assert scipy_modules_loaded(code, tmp_path) == []
+    assert (tmp_path / "out" / "g_barcode.csv").is_file()
+
+
+def test_compare_loads_scipy_special_but_not_scipy_stats(tmp_path):
+    (tmp_path / "g.edges").write_text(GRAPH)
+    code = run_cli(["compare", "--input", "g.edges", "--output-dir", "out"])
+    loaded = scipy_modules_loaded(code, tmp_path)
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded  # any scipy.stats.* loads it too

@@ -10,6 +10,7 @@ from netscaffold.graph import build_filtration, make_graph
 from netscaffold.minbasis import PathologyEvent
 from netscaffold.persistence import betti1_at, compute_persistence
 from netscaffold.scaffold import (
+    _chunk_bounds,
     Scaffold,
     loose_scaffold,
     minimal_scaffold,
@@ -216,6 +217,21 @@ class TestStepBases:
             assert 3 <= len(serial) <= 6
             for workers in (2, 3, len(serial) + 2):
                 assert step_bases(f, barcode, mu_weights, workers) == serial
+
+    @pytest.mark.parametrize(
+        "costs, k, bounds",
+        [
+            ([5, 5, 5, 5], 2, [0, 2, 4]),
+            ([1, 1, 1, 10], 2, [0, 3, 4]),
+            ([3, 4, 5, 6, 7, 8, 9, 10], 2, [0, 5, 8]),
+            ([3, 4, 5, 6, 7, 8, 9, 10], 3, [0, 4, 6, 8]),
+            # one expensive step cannot leave a chunk empty
+            ([1, 100, 1, 1], 4, [0, 1, 2, 3, 4]),
+            ([100, 1, 1], 3, [0, 1, 2, 3]),
+        ],
+    )
+    def test_chunks_balance_edge_counts(self, costs, k, bounds):
+        assert _chunk_bounds(costs, k) == bounds
 
     def test_barcode_of_another_graph_is_rejected(self, theta_graph, unit_square):
         f = build_filtration(theta_graph)

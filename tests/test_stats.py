@@ -1,5 +1,6 @@
 """Vertex metrics, correlation helpers, and scaffold comparison."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from netscaffold.scaffold import Scaffold
 from netscaffold.stats import (
     KS_INCONCLUSIVE_P,
     VERTEX_METRICS,
+    _midranks,
     aggregate_comparisons,
     compare_scaffolds,
     graph_metrics,
@@ -198,6 +200,85 @@ class TestKolmogorovSmirnov:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ks_two_sample([], [1.0])
+
+
+def random_sample(rng: np.random.Generator) -> np.ndarray:
+    """Floats, or heavily tied small integers, of random length 0..60."""
+    size = int(rng.integers(0, 61))
+    if rng.random() < 0.5:
+        return rng.normal(size=size)
+    return rng.integers(0, int(rng.integers(1, 5)), size=size).astype(float)
+
+
+class TestExactReplacements:
+    """The numpy midranks and the scipy.special KS tail equal the
+    scipy.stats functions they replace bit for bit, not just nearly."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            [],
+            [3.5],
+            [2.0, 1.0],
+            [1.0, 1.0],
+            [7.0] * 9,
+            [3, 1, 3, 3, 2, 1, 3, 0, 3, 1],
+            [0.0, -0.0, 1.0, -0.0],
+            [np.inf, -np.inf, 1.0, np.inf],
+            [[2.0, 1.0], [1.0, 0.0]],
+        ],
+        ids=[
+            "empty", "one", "two", "tied_pair", "constant", "heavy_ties",
+            "signed_zeros", "infinities", "two_dims",
+        ],
+    )
+    def test_midranks_equal_rankdata(self, x):
+        x = np.asarray(x, dtype=float)
+        ours, ref = _midranks(x), scipy.stats.rankdata(x)
+        assert ours.dtype == ref.dtype
+        assert ours.shape == ref.shape
+        assert (ours == ref).all()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_midranks_equal_rankdata_random(self, seed):
+        x = random_sample(np.random.default_rng(seed))
+        ours, ref = _midranks(x), scipy.stats.rankdata(x)
+        assert ours.dtype == ref.dtype
+        assert (ours == ref).all()
+
+    @pytest.mark.parametrize("x", [[np.nan], [1.0, np.nan, 1.0, 0.5]])
+    def test_midranks_of_nan_input_are_all_nan_like_rankdata(self, x):
+        x = np.asarray(x, dtype=float)
+        ours, ref = _midranks(x), scipy.stats.rankdata(x)
+        assert ours.dtype == ref.dtype
+        assert np.isnan(ref).all()
+        assert np.isnan(ours).all() and ours.shape == ref.shape
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_spearman_is_pearson_on_rankdata(self, seed):
+        rng = np.random.default_rng(seed)
+        x = random_sample(rng)
+        y = rng.permutation(x) + (rng.random() < 0.5) * rng.normal(size=x.size)
+        expect = (
+            None
+            if x.size < 2
+            else pearson(scipy.stats.rankdata(x), scipy.stats.rankdata(y))
+        )
+        assert spearman(x, y) == expect
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_ks_p_equals_kstwobign_sf(self, seed):
+        rng = np.random.default_rng(seed)
+        x, y = random_sample(rng), random_sample(rng)
+        if x.size == 0 or y.size == 0:
+            x, y = np.append(x, 1.0), np.append(y, 2.0)
+        if seed % 6 == 0:
+            y = rng.permutation(x)  # D = 0
+        d, p = ks_two_sample(x, y)
+        if seed % 6 == 0:
+            assert d == 0.0
+        lam = math.sqrt(x.size * y.size / (x.size + y.size)) * d
+        assert p == float(scipy.stats.distributions.kstwobign.sf(lam))
 
 
 class TestCompareScaffolds:
