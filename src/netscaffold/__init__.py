@@ -25,7 +25,6 @@ from .persistence import (
     Barcode,
     PersistencePair,
     bars_alive_at,
-    betti1_at,
     compute_persistence,
 )
 from .minbasis import (
@@ -34,7 +33,6 @@ from .minbasis import (
     PathologyEvent,
     VariantSet,
     annotate_edges,
-    horton_candidates,
     min_basis_with_draws,
 )
 from .scaffold import (
@@ -84,14 +82,12 @@ __all__ = [
     "Barcode",
     "PersistencePair",
     "bars_alive_at",
-    "betti1_at",
     "compute_persistence",
     "Cycle",
     "MinimalBasisWithDraws",
     "PathologyEvent",
     "VariantSet",
     "annotate_edges",
-    "horton_candidates",
     "min_basis_with_draws",
     "Scaffold",
     "loose_scaffold",

@@ -12,11 +12,13 @@ rebuilding.
 The complex also carries what persistence and the minimal bases read
 off it: the Kruskal spanning forest over edge positions, the
 fundamental cycle of every non-tree edge, and the triangle boundary
-columns reduced left to right. Each is exact on a prefix too. Kruskal
-runs in position order, so a prefix's forest is a prefix of the
-forest; the forest path between two vertices never changes once both
-are in it; and reducing a prefix of the columns gives a prefix of the
-full reduction.
+columns reduced left to right over Z2. Edge sets are Python int
+bitsets, bit p for edge position p, so addition is XOR and a column's
+pivot is its highest set bit. Each of these is exact on a prefix too.
+Kruskal runs in position order, so a prefix's forest is a prefix of
+the forest; the forest path between two vertices never changes once
+both are in it; and reducing a prefix of the columns gives a prefix of
+the full reduction.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graph import WeightedGraph
-from .z2 import Z2Matrix, column_reduce
 
 __all__ = ["FlagComplex2", "flag_complex_at"]
 
@@ -59,8 +60,6 @@ class FlagComplex2:
     tree: int = field(repr=False)
     cycles: tuple[int, ...] = field(repr=False)
     reduced: tuple[int, ...] = field(repr=False)
-    # pair -> position in edge_ids; shared with every prefix view
-    _edge_pos: dict[tuple[int, int], int] = field(repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -90,15 +89,6 @@ class FlagComplex2:
             mask ^= lsb
         return tuple(sorted(ids))
 
-    def edge_position(self, u: int, v: int) -> int:
-        """Position of edge {u,v} in this complex; KeyError if absent."""
-        if u > v:
-            u, v = v, u
-        pos = self._edge_pos[(u, v)]
-        if pos >= len(self.edge_ids):
-            raise KeyError((u, v))
-        return pos
-
     def at(self, epsilon: Fraction) -> FlagComplex2:
         """The subcomplex at a threshold no larger than this one's.
 
@@ -121,8 +111,25 @@ class FlagComplex2:
             tree=self.tree & ((1 << n_e) - 1),
             cycles=self.cycles[:n_e],
             reduced=self.reduced[:n_t],
-            _edge_pos=self._edge_pos,
         )
+
+
+def _column_reduce(cols: list[int]) -> list[int]:
+    """Left-to-right Z2 column reduction of bitset columns, in place.
+
+    Adds an earlier column into a later one whenever both share the same
+    pivot, the highest set bit, until the nonzero pivots are distinct.
+    """
+    pivot_owner: dict[int, int] = {}
+    for j in range(len(cols)):
+        while cols[j]:
+            piv = cols[j].bit_length() - 1
+            owner = pivot_owner.get(piv)
+            if owner is None:
+                pivot_owner[piv] = j
+                break
+            cols[j] ^= cols[owner]
+    return cols
 
 
 def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
@@ -201,10 +208,5 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
             0 if in_tree[p] else path[u] ^ path[v] ^ (1 << p)
             for p, (_, u, v, _) in enumerate(edges)
         ),
-        reduced=tuple(
-            column_reduce(
-                Z2Matrix(columns=[t[2] for t in tris], n_rows=len(edges))
-            ).columns
-        ),
-        _edge_pos=pos,
+        reduced=tuple(_column_reduce([t[2] for t in tris])),
     )

@@ -121,13 +121,6 @@ class WeightedGraph:
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(w for _, _, w in self.edges)
 
-    def adjacency_sets(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n_vertices)]
-        for u, v, _ in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def max_weight(self) -> Fraction:
         if not self.edges:
             return Fraction(0)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import FlagComplex2
-from .z2 import low
 
 __all__ = [
     "Cycle",
@@ -42,7 +41,6 @@ __all__ = [
     "PathologyEvent",
     "MinimalBasisWithDraws",
     "annotate_edges",
-    "horton_candidates",
     "min_basis_with_draws",
 ]
 
@@ -109,12 +107,6 @@ class MinimalBasisWithDraws:
     variant_sets: tuple[VariantSet, ...]
     pathology_events: tuple[PathologyEvent, ...]
 
-    def representatives(self) -> list[Cycle]:
-        return [vs.representative for vs in self.variant_sets]
-
-    def total_length(self) -> Fraction:
-        return sum((vs.length_mu for vs in self.variant_sets), Fraction(0))
-
 
 # ---------------------------------------------------------------------------
 # edge annotations
@@ -143,7 +135,7 @@ def _annotate(cx: FlagComplex2) -> _EdgeAnnotations:
     # their fundamental-cycle coordinates
     nt_mask = ((1 << cx.n_edges) - 1) ^ cx.tree
     cols = [c & nt_mask for c in cx.reduced if c]
-    pivots = {low(c): j for j, c in enumerate(cols)}
+    pivots = {c.bit_length() - 1: j for j, c in enumerate(cols)}
     # back-eliminate: each pivot row survives in exactly its own column,
     # so a pivot edge's class is the rest of that column
     for p in sorted(pivots, reverse=True):
@@ -377,23 +369,6 @@ class HortonSweep:
                 if mask not in found:
                     found[mask] = dist[a] + dist[b] + imu[p]
         return found
-
-
-def horton_candidates(
-    cx: FlagComplex2, mu_weights: dict[int, Fraction] | None = None
-) -> list[Cycle]:
-    """Candidate cycles sorted by (length, edge ids).
-
-    mu_weights overrides the filtration weights for length accounting
-    (keyed by graph edge id); shortest-path trees use the same metric.
-    """
-    sweep = HortonSweep(cx, mu_weights)
-    cycles = [
-        Cycle(edges=cx.ids_of_mask(m), length_mu=Fraction(l, sweep.denom))
-        for m, l in sweep.advance(cx).items()
-    ]
-    cycles.sort(key=lambda c: c.sort_key)
-    return cycles
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 The bars are read off the filtration's full flag complex, which
 carries its spanning forest and its reduced triangle boundaries (see
 ``complexes``). Each tree edge kills a vertex class. Each nonzero
-reduced triangle column kills the class born at its lowest edge, and
-the column is that bar's generator. Each non-tree edge no column kills
-is born essential, with its fundamental cycle as generator.
-Zero-persistence pairs are dropped (exact equality, no tolerance).
+reduced triangle column kills the class born at its low, the column's
+last edge in filtration order, and the column is that bar's generator.
+Each non-tree edge no column kills is born essential, with its
+fundamental cycle as generator. Zero-persistence pairs are dropped
+(exact equality, no tolerance). The Betti numbers at a step are the
+bars alive there (``bars_alive_at``).
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ from fractions import Fraction
 from .complexes import FlagComplex2, flag_complex_at
 from .graph import Filtration
 from .minbasis import Cycle
-from .z2 import boundary_matrix, low, rank
 
 __all__ = [
     "PersistencePair",
     "Barcode",
     "compute_persistence",
-    "betti1_at",
     "bars_alive_at",
     "barcode_to_csv",
     "barcode_to_json",
@@ -82,7 +82,7 @@ def compute_persistence(f: Filtration) -> Barcode:
     for col, r in zip(cx.reduced, cx.triangle_ranks):
         if not col:
             continue  # zero triangle columns would be essential dim-2
-        p = low(col)
+        p = col.bit_length() - 1  # its low
         killed.add(p)
         birth, death = cx.edge_weight(p), cx.weights[r]
         if birth != death:
@@ -107,27 +107,6 @@ def compute_persistence(f: Filtration) -> Barcode:
         )
     )
     return Barcode(pairs=tuple(pairs), complex=cx)
-
-
-def betti1_at(cx) -> int:
-    """First Betti number of one complex: (|E| - |V| + c) - rank(d2)."""
-    parent = list(range(cx.n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    c = cx.n_vertices
-    for p in range(cx.n_edges):
-        u, v = cx.edge_vertices(p)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            c -= 1
-    cycles = cx.n_edges - cx.n_vertices + c
-    return cycles - rank(boundary_matrix(cx, 2))
 
 
 def bars_alive_at(barcode: Barcode, eps: Fraction, dim: int) -> int:

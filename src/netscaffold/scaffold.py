@@ -20,7 +20,6 @@ worker count never changes the output.
 from __future__ import annotations
 
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,6 +179,9 @@ def step_bases(
     k = min(max(workers, 1), len(active))
     if k == 1:
         return _sweep_chunk(cx, mu_weights, active)
+    # multiprocessing costs every import of the CLI; load it only here
+    from concurrent.futures import ProcessPoolExecutor
+
     bounds = _chunk_bounds([cx.at(eps).n_edges for eps in active], k)
     chunks = [active[bounds[c]:bounds[c + 1]] for c in range(k)]
     with ProcessPoolExecutor(

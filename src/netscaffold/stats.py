@@ -320,7 +320,6 @@ def compare_scaffolds(
     a: Scaffold,
     b: Scaffold,
     nulls: tuple[Scaffold, Scaffold] | None = None,
-    length_mode: str = "inverse",
 ) -> ComparisonReport:
     """Metric-by-metric agreement between scaffolds a and b.
 
@@ -332,13 +331,13 @@ def compare_scaffolds(
     """
     if a.n_vertices != b.n_vertices:
         raise ValueError("scaffolds live on different vertex sets")
-    ma = graph_metrics(a, length_mode)
-    mb = graph_metrics(b, length_mode)
+    ma = graph_metrics(a)
+    mb = graph_metrics(b)
     mnulls = None
     if nulls is not None:
         if any(x.n_vertices != a.n_vertices for x in nulls):
             raise ValueError("nulls live on a different vertex set")
-        mnulls = (graph_metrics(nulls[0], length_mode), graph_metrics(nulls[1], length_mode))
+        mnulls = (graph_metrics(nulls[0]), graph_metrics(nulls[1]))
 
     out: dict = {}
     for name in VERTEX_METRICS:

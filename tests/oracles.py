@@ -7,6 +7,10 @@ reduction with highest-bit pivots, exhaustive cycle-space
 enumeration instead of candidate generation, and one fresh Horton
 search per complex instead of a sweep along the filtration. Slow on
 purpose; only run on small inputs.
+
+The exceptions are the adapters at the end, which only reshape what
+the package returns: the Horton pool of one complex as sorted
+``Cycle``s, and the representatives and total length of a basis.
 """
 
 from __future__ import annotations
@@ -15,6 +19,8 @@ import heapq
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
+
+from netscaffold.minbasis import Cycle, HortonSweep
 
 
 def components_bfs(n: int, pairs: list[tuple[int, int]]) -> int:
@@ -66,6 +72,50 @@ def flag_triangles(
         if (a, b) in present and (a, c) in present and (b, c) in present:
             tris.append((a, b, c))
     return tris
+
+
+def betti1_oracle(
+    n: int, edges: list[tuple[int, int, Fraction]], eps: Fraction
+) -> int:
+    """(m - n + c) - rank(d2), built from scratch over the kept edges."""
+    kept = [(u, v) for u, v, w in edges if w <= eps]
+    pos = {e: i for i, e in enumerate(kept)}
+    c = components_bfs(n, kept)
+    cols = []
+    for a, b, d in flag_triangles(n, edges, eps):
+        cols.append((1 << pos[(a, b)]) | (1 << pos[(a, d)]) | (1 << pos[(b, d)]))
+    return (len(kept) - n + c) - gf2_rank_lowbit(cols)
+
+
+def edge_position(cx, u: int, v: int) -> int:
+    """Position of edge {u,v} in a flag complex, by scanning its edges;
+    KeyError when the complex (or prefix view) does not hold it."""
+    pair = (min(u, v), max(u, v))
+    for p in range(cx.n_edges):
+        if cx.edge_vertices(p) == pair:
+            return p
+    raise KeyError(pair)
+
+
+def boundary_columns(cx, k: int) -> list[int]:
+    """Boundary operator of a flag complex in degree k, as bitset columns.
+
+    k=1: one column per edge position, over the vertices. k=2: one
+    column per triangle, over the edge positions.
+    """
+    if k == 1:
+        return [
+            (1 << u) | (1 << v)
+            for u, v in (cx.edge_vertices(p) for p in range(cx.n_edges))
+        ]
+    if k == 2:
+        return [
+            (1 << edge_position(cx, a, b))
+            | (1 << edge_position(cx, a, c))
+            | (1 << edge_position(cx, b, c))
+            for a, b, c in cx.triangles
+        ]
+    raise ValueError(f"boundary degree must be 1 or 2, got {k}")
 
 
 def _bfs_tree(n: int, pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
@@ -309,3 +359,33 @@ def horton_pool(cx, mu: list[Fraction]) -> dict[int, Fraction]:
             if mask not in found:
                 found[mask] = dist[a] + dist[b] + mu[p]
     return found
+
+
+# ---------------------------------------------------------------------------
+# adapters over package results
+
+
+def horton_candidates(cx, mu_weights=None) -> list[Cycle]:
+    """The Horton pool of one complex from a one-step ``HortonSweep``,
+    as ``Cycle``s sorted by (length, edge ids).
+
+    mu_weights overrides the filtration weights for length accounting
+    (keyed by graph edge id); shortest-path trees use the same metric.
+    """
+    sweep = HortonSweep(cx, mu_weights)
+    cycles = [
+        Cycle(edges=cx.ids_of_mask(m), length_mu=Fraction(l, sweep.denom))
+        for m, l in sweep.advance(cx).items()
+    ]
+    cycles.sort(key=lambda c: c.sort_key)
+    return cycles
+
+
+def representatives(mb) -> list[Cycle]:
+    """One representative cycle per variant set of a basis."""
+    return [vs.representative for vs in mb.variant_sets]
+
+
+def total_length(mb) -> Fraction:
+    """Summed mu-length of a basis, one representative per class."""
+    return sum((vs.length_mu for vs in mb.variant_sets), Fraction(0))

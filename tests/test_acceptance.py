@@ -58,6 +58,7 @@ from .oracles import (
     gf2_rank_lowbit,
     make_residue_fn,
     mask_length,
+    total_length,
 )
 
 # pinned tolerances
@@ -165,7 +166,7 @@ def test_criterion_1_minimal_basis_matches_exhaustive_optimum():
         assert len(ws) <= 14 and g.n_vertices <= 8
         assert len(set(ws)) == len(ws)
         eps = max(ws)
-        got = min_basis_with_draws(flag_complex_at(g, eps)).total_length()
+        got = total_length(min_basis_with_draws(flag_complex_at(g, eps)))
         want = brute_min_basis_total(
             g.n_vertices, list(g.edges), flag_triangles(g.n_vertices, list(g.edges), eps)
         )

@@ -8,10 +8,15 @@ from hypothesis import strategies as st
 
 from netscaffold.complexes import flag_complex_at
 from netscaffold.graph import build_filtration, make_graph
-from netscaffold.z2 import boundary_matrix, low, rank
 
 from .conftest import SQRT2
-from .oracles import components_bfs, flag_triangles, gf2_rank_lowbit
+from .oracles import (
+    boundary_columns,
+    components_bfs,
+    edge_position,
+    flag_triangles,
+    gf2_rank_lowbit,
+)
 
 
 def member_edges(t):
@@ -48,16 +53,16 @@ class TestDeterministicOrder:
         cx = flag_complex_at(unit_square, SQRT2)
         for p in range(cx.n_edges):
             u, v = cx.edge_vertices(p)
-            assert cx.edge_position(u, v) == p
-            assert cx.edge_position(v, u) == p
+            assert edge_position(cx, u, v) == p
+            assert edge_position(cx, v, u) == p
 
 
 class TestPrefixView:
     def test_edges_past_the_prefix_are_absent(self, unit_square):
         view = flag_complex_at(unit_square, SQRT2).at(Fraction(1))
-        assert view.edge_position(1, 0) == 0
+        assert edge_position(view, 1, 0) == 0
         with pytest.raises(KeyError):
-            view.edge_position(0, 2)
+            edge_position(view, 0, 2)
 
     def test_threshold_above_the_complex_rejected(self, unit_square):
         cx = flag_complex_at(unit_square, Fraction(1))
@@ -98,10 +103,10 @@ class TestAlongFiltration:
             assert view.edge_ids == full.edge_ids[: view.n_edges]
             assert view.triangles == full.triangles[: view.n_triangles]
             for p in range(view.n_edges):
-                assert view.edge_position(*view.edge_vertices(p)) == p
+                assert edge_position(view, *view.edge_vertices(p)) == p
             for p in range(view.n_edges, full.n_edges):
                 with pytest.raises(KeyError):
-                    view.edge_position(*full.edge_vertices(p))
+                    edge_position(view, *full.edge_vertices(p))
             if previous is not None:
                 assert view.edge_ids[: previous.n_edges] == previous.edge_ids
                 assert view.triangles[: previous.n_triangles] == previous.triangles
@@ -110,6 +115,47 @@ class TestAlongFiltration:
 
 def positions(mask):
     return [p for p in range(mask.bit_length()) if (mask >> p) & 1]
+
+
+def assert_boundary_of_boundary_vanishes(cx):
+    d1 = boundary_columns(cx, 1)
+    for tri_col in boundary_columns(cx, 2):
+        acc = 0
+        for p in positions(tri_col):
+            acc ^= d1[p]
+        assert acc == 0
+
+
+class TestBoundaryColumns:
+    def test_edge_columns_have_two_bits(self, unit_square):
+        cx = flag_complex_at(unit_square, SQRT2)
+        d1 = boundary_columns(cx, 1)
+        assert len(d1) == cx.n_edges
+        assert all(c.bit_count() == 2 and c < 1 << cx.n_vertices for c in d1)
+
+    def test_triangle_columns_have_three_bits(self, unit_square):
+        cx = flag_complex_at(unit_square, SQRT2)
+        d2 = boundary_columns(cx, 2)
+        assert len(d2) == cx.n_triangles
+        assert all(c.bit_count() == 3 and c < 1 << cx.n_edges for c in d2)
+
+    def test_composition_vanishes(self, unit_square):
+        assert_boundary_of_boundary_vanishes(flag_complex_at(unit_square, SQRT2))
+
+    @given(st.integers(min_value=2, max_value=7), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_composition_vanishes_on_random_flags(self, n, data):
+        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        chosen = data.draw(
+            st.lists(
+                st.sampled_from(possible),
+                unique=True,
+                min_size=1,
+                max_size=len(possible),
+            )
+        )
+        g = make_graph(n, [(u, v, 1) for u, v in chosen])
+        assert_boundary_of_boundary_vanishes(flag_complex_at(g, Fraction(1)))
 
 
 class TestForestAndReduction:
@@ -131,7 +177,7 @@ class TestForestAndReduction:
                 n, pairs
             )
 
-            d1 = boundary_matrix(cx, 1).columns
+            d1 = boundary_columns(cx, 1)
             assert len(cx.cycles) == cx.n_edges
             for p, mask in enumerate(cx.cycles):
                 if p in tree:
@@ -144,13 +190,13 @@ class TestForestAndReduction:
                     boundary ^= d1[q]
                 assert boundary == 0
 
-            d2 = boundary_matrix(cx, 2).columns
+            d2 = boundary_columns(cx, 2)
             assert len(cx.reduced) == cx.n_triangles
             nonzero = [c for c in cx.reduced if c]
-            lows = [low(c) for c in nonzero]
+            lows = [c.bit_length() - 1 for c in nonzero]
             assert len(set(lows)) == len(lows)
             assert not set(lows) & set(tree)
-            assert len(nonzero) == rank(boundary_matrix(cx, 2))
+            assert len(nonzero) == gf2_rank_lowbit(d2)
             # column t only ever gained earlier boundary columns
             for t, col in enumerate(cx.reduced):
                 assert gf2_rank_lowbit(d2[:t] + [col ^ d2[t]]) == gf2_rank_lowbit(
@@ -188,7 +234,7 @@ def test_triangles_match_bruteforce(case):
         assert cx.weights[cx.edge_ranks[p]] == cx.edge_weight(p)
     # ordered by appearance value, vertex triple breaking ties
     values = [
-        max(cx.edge_weight(cx.edge_position(a, b)) for a, b in member_edges(t))
+        max(cx.edge_weight(edge_position(cx, a, b)) for a, b in member_edges(t))
         for t in cx.triangles
     ]
     keys = list(zip(values, cx.triangles))
@@ -204,6 +250,6 @@ def test_triangle_values_dominate_member_edges(case):
     for t, rank in zip(cx.triangles, cx.triangle_ranks):
         val = cx.weights[rank]
         for a, b in member_edges(t):
-            p = cx.edge_position(a, b)
+            p = edge_position(cx, a, b)
             assert cx.edge_ranks[p] <= rank
             assert cx.edge_weight(p) <= val

@@ -2,7 +2,9 @@
 
 Both parsers either return a graph or raise ``GraphFormatError``. The
 ``persistence`` command exits 0, 3 or 4 on any input file and never
-prints a traceback. Near-valid inputs are small valid edge lists and
+prints a traceback, and so do ``scaffold`` and ``compare --input``,
+which run further on an accepted input, on near-valid files (serially,
+with ``--parallelism 1``). Near-valid inputs are small valid edge lists and
 adjacency matrices with a few edits: a span deleted, a token inserted,
 a line replaced or duplicated. The tokens include the classes of value
 that have broken parsers before: non-finite and out-of-range numbers,
@@ -105,6 +107,28 @@ def test_adjacency_parser_on_near_valid_text(text):
     parses_or_rejects(parse_adjacency, text)
 
 
+def exits_cleanly(command: list[str], fmt: str, text: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.txt"
+        path.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with redirect_stderr(err):
+            code = main(
+                [
+                    *command, "--input", str(path), "--format", fmt,
+                    "--output-dir", str(Path(tmp) / "out"),
+                ]
+            )
+    assert code in (EXIT_OK, EXIT_IO, EXIT_DATA)
+    assert "Traceback" not in err.getvalue()
+
+
+near_valid_files = st.one_of(
+    st.tuples(st.just("edgelist"), mutated(edge_list_texts())),
+    st.tuples(st.just("adjacency"), mutated(adjacency_texts())),
+)
+
+
 @given(
     st.one_of(
         st.tuples(st.just("edgelist"), st.text() | mutated(edge_list_texts())),
@@ -113,17 +137,16 @@ def test_adjacency_parser_on_near_valid_text(text):
 )
 @settings(max_examples=200, deadline=None)
 def test_persistence_command_exits_cleanly(case):
-    fmt, text = case
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "fuzz.txt"
-        path.write_text(text, encoding="utf-8")
-        err = io.StringIO()
-        with redirect_stderr(err):
-            code = main(
-                [
-                    "persistence", "--input", str(path), "--format", fmt,
-                    "--output-dir", str(Path(tmp) / "out"),
-                ]
-            )
-    assert code in (EXIT_OK, EXIT_IO, EXIT_DATA)
-    assert "Traceback" not in err.getvalue()
+    exits_cleanly(["persistence"], *case)
+
+
+@given(near_valid_files)
+@settings(max_examples=100, deadline=None)
+def test_scaffold_command_exits_cleanly(case):
+    exits_cleanly(["scaffold", "--parallelism", "1"], *case)
+
+
+@given(near_valid_files)
+@settings(max_examples=50, deadline=None)
+def test_compare_input_exits_cleanly(case):
+    exits_cleanly(["compare", "--parallelism", "1"], *case)

@@ -1,14 +1,17 @@
 """No module imports a name it never uses, no private helper is dead,
-and no command but ``compare`` loads scipy.
+no command but ``compare`` loads scipy, and only a process pool loads
+multiprocessing.
 
 The first two checks are the lint step. The unused-import check covers
 every library module except ``__init__.py`` (whose imports are the
 package's re-exports) and every test module. The dead-helper check
 covers the top-level ``_name`` functions and classes of the library:
 each must be referenced somewhere in the library outside its own
-definition. The import guard runs each case in a fresh interpreter and
-lists the scipy modules it loaded: importing the package must load
-none, and ``compare`` only ``scipy.special``.
+definition. The import guards run each case in a fresh interpreter and
+list the modules it loaded under a prefix: importing the package must
+load no scipy, and ``compare`` only ``scipy.special``; neither the
+import nor a serial ``scaffold`` run may load ``multiprocessing`` or
+``concurrent.futures.process``.
 """
 
 import ast
@@ -128,12 +131,15 @@ def test_no_dead_private_helpers():
     assert dead_private_helpers(sources) == []
 
 
-def scipy_modules_loaded(code: str, cwd: Path) -> list[str]:
-    """The scipy modules a fresh interpreter holds after running code."""
+def modules_loaded(code: str, cwd: Path, prefix: str) -> list[str]:
+    """The modules named ``prefix`` or below it that a fresh interpreter
+    holds after running code. The worker count is left at its default."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("NETSCAFFOLD_WORKERS", None)
     probe = (
         "\nimport json, sys\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('scipy'))))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if m == {prefix!r}"
+        f" or m.startswith({prefix + '.'!r}))))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code + probe],
@@ -159,20 +165,47 @@ def run_cli(argv: list[str]) -> str:
 
 def test_package_import_loads_no_scipy(tmp_path):
     code = "import netscaffold, netscaffold.cli\n"
-    assert scipy_modules_loaded(code, tmp_path) == []
+    assert modules_loaded(code, tmp_path, "scipy") == []
 
 
 @pytest.mark.parametrize("command", ["persistence", "scaffold"])
 def test_pipeline_commands_load_no_scipy(tmp_path, command):
     (tmp_path / "g.edges").write_text(GRAPH)
     code = run_cli([command, "--input", "g.edges", "--output-dir", "out"])
-    assert scipy_modules_loaded(code, tmp_path) == []
+    assert modules_loaded(code, tmp_path, "scipy") == []
     assert (tmp_path / "out" / "g_barcode.csv").is_file()
 
 
 def test_compare_loads_scipy_special_but_not_scipy_stats(tmp_path):
     (tmp_path / "g.edges").write_text(GRAPH)
     code = run_cli(["compare", "--input", "g.edges", "--output-dir", "out"])
-    loaded = scipy_modules_loaded(code, tmp_path)
+    loaded = modules_loaded(code, tmp_path, "scipy")
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded  # any scipy.stats.* loads it too
+
+
+POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]
+
+
+@pytest.mark.parametrize("prefix", POOL_MODULES)
+def test_package_import_loads_no_process_pool(tmp_path, prefix):
+    code = "import netscaffold, netscaffold.cli\n"
+    assert modules_loaded(code, tmp_path, prefix) == []
+
+
+@pytest.mark.parametrize("prefix", POOL_MODULES)
+def test_serial_scaffold_loads_no_process_pool(tmp_path, prefix):
+    (tmp_path / "g.edges").write_text(GRAPH)
+    code = run_cli(["scaffold", "--input", "g.edges", "--output-dir", "out"])
+    assert modules_loaded(code, tmp_path, prefix) == []
+    assert (tmp_path / "out" / "g_minimal.csv").is_file()
+
+
+@pytest.mark.parametrize("prefix", POOL_MODULES)
+def test_pooled_scaffold_loads_the_process_pool(tmp_path, prefix):
+    # without this the guards above could pass on a probe that sees nothing
+    (tmp_path / "g.edges").write_text(GRAPH)
+    code = run_cli(
+        ["scaffold", "--input", "g.edges", "--output-dir", "out", "--parallelism", "2"]
+    )
+    assert prefix in modules_loaded(code, tmp_path, prefix)

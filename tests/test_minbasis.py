@@ -17,7 +17,6 @@ from netscaffold.minbasis import (
     PathologyEvent,
     VariantSet,
     annotate_edges,
-    horton_candidates,
     min_basis_with_draws,
 )
 from netscaffold.persistence import bars_alive_at, compute_persistence
@@ -27,10 +26,14 @@ from .oracles import (
     all_cycle_vectors,
     brute_min_basis_total,
     components_bfs,
+    edge_position,
     flag_triangles,
     gf2_rank_lowbit,
+    horton_candidates,
     horton_pool,
     make_residue_fn,
+    representatives,
+    total_length,
 )
 
 
@@ -216,7 +219,7 @@ class TestMinBasisOptimality:
         want = brute_min_basis_total(
             g.n_vertices, list(g.edges), flag_triangles(g.n_vertices, list(g.edges), eps)
         )
-        assert mb.total_length() == want
+        assert total_length(mb) == want
 
     @pytest.mark.parametrize("seed", range(12))
     def test_total_matches_bruteforce_mid_filtration(self, seed):
@@ -230,7 +233,7 @@ class TestMinBasisOptimality:
         want = brute_min_basis_total(
             g.n_vertices, sub, flag_triangles(g.n_vertices, sub, eps)
         )
-        assert mb.total_length() == want
+        assert total_length(mb) == want
 
     @pytest.mark.parametrize("seed", range(12))
     def test_total_matches_bruteforce_with_mu(self, seed):
@@ -248,7 +251,7 @@ class TestMinBasisOptimality:
             flag_triangles(g.n_vertices, list(g.edges), eps),
             mu=mu_list,
         )
-        assert mb.total_length() == want
+        assert total_length(mb) == want
 
     @pytest.mark.parametrize("seed", range(15))
     def test_representatives_span_independently(self, seed):
@@ -259,7 +262,7 @@ class TestMinBasisOptimality:
         assert mb.beta1 == beta1
         assert len(mb.variant_sets) == beta1
         anns = []
-        for rep in mb.representatives():
+        for rep in representatives(mb):
             a = 0
             for eid in rep.edges:
                 a ^= ann_by_id[eid]
@@ -272,7 +275,7 @@ class TestMinBasisOptimality:
         assert mb == MinimalBasisWithDraws(
             beta1=0, variant_sets=(), pathology_events=()
         )
-        assert mb.total_length() == 0
+        assert total_length(mb) == 0
 
 
 class TestDrawsAndPathologies:
@@ -340,7 +343,7 @@ class TestDeterminismAndInvariance:
         mb1 = min_basis_with_draws(full_complex(g))
         mb2 = min_basis_with_draws(full_complex(g2))
         assert mb1.beta1 == mb2.beta1
-        assert mb1.total_length() == mb2.total_length()
+        assert total_length(mb1) == total_length(mb2)
         assert sorted(vs.length_mu for vs in mb1.variant_sets) == sorted(
             vs.length_mu for vs in mb2.variant_sets
         )
@@ -377,7 +380,7 @@ class TestGreedyContract:
                     a ^= ann_by_id[eid]
                 return a
 
-            reps = [(rep.sort_key, ann(rep)) for rep in mb.representatives()]
+            reps = [(rep.sort_key, ann(rep)) for rep in representatives(mb)]
             for cand in horton_candidates(cx):
                 a = ann(cand)
                 if a == 0:
@@ -487,7 +490,7 @@ class TestHortonSweep:
         sweep = HortonSweep(cx)
         first = min_basis_with_draws(cx.at(Fraction(1)), None, sweep)
         assert first == min_basis_with_draws(cx.at(Fraction(1)))
-        tri = sum(1 << cx.edge_position(u, v) for u, v in ((0, 1), (1, 2), (0, 2)))
+        tri = sum(1 << edge_position(cx, u, v) for u, v in ((0, 1), (1, 2), (0, 2)))
         assert sweep.retired == {tri}
         assert min_basis_with_draws(cx, None, sweep) == min_basis_with_draws(cx)
         assert len(sweep.retired) == 2

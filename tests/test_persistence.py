@@ -7,27 +7,16 @@ import pytest
 
 from netscaffold.complexes import flag_complex_at
 from netscaffold.graph import build_filtration, make_graph
+from netscaffold.minbasis import annotate_edges
 from netscaffold.persistence import (
     bars_alive_at,
     barcode_to_csv,
     barcode_to_json,
-    betti1_at,
     compute_persistence,
 )
 
 from .conftest import SQRT2
-from .oracles import components_bfs, flag_triangles, gf2_rank_lowbit
-
-
-def betti1_oracle(n, edges, eps):
-    """(m - n + c) - rank(d2), built from scratch over the kept edges."""
-    kept = [(u, v) for u, v, w in edges if w <= eps]
-    pos = {e: i for i, e in enumerate(kept)}
-    c = components_bfs(n, kept)
-    cols = []
-    for a, b, d in flag_triangles(n, edges, eps):
-        cols.append((1 << pos[(a, b)]) | (1 << pos[(a, d)]) | (1 << pos[(b, d)]))
-    return (len(kept) - n + c) - gf2_rank_lowbit(cols)
+from .oracles import betti1_oracle, components_bfs
 
 
 class TestUnitSquare:
@@ -133,7 +122,7 @@ class TestAliveCounts:
         for eps in f.steps:
             want = betti1_oracle(g.n_vertices, list(g.edges), eps)
             assert bars_alive_at(barcode, eps, 1) == want
-            assert betti1_at(flag_complex_at(g, eps)) == want
+            assert annotate_edges(flag_complex_at(g, eps))[0] == want
 
     def test_alive_respects_half_open_interval(self, unit_square):
         barcode = compute_persistence(build_filtration(unit_square))
