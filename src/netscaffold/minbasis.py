@@ -1,24 +1,26 @@
 """Minimum-length homology bases of flag complexes, with draw detection.
 
-The pipeline per complex: annotate edges with Z2^beta1 homology
-coordinates (read off the complex's spanning forest and reduced
-triangle boundaries), enumerate Horton candidate cycles from per-vertex
-shortest-path trees, then select a minimum basis in one greedy pass
-over the candidates sorted by (length, edge ids). Each candidate's
-class is reduced against the classes kept so far, and it is kept when
-the residue is nonzero. Which cycles are kept depends only on that
-order, not on the annotation coordinates. Cycles tied at the minimal
-length within the same class are reported together as a variant set
-("draws"). Ties *across* classes that make the chosen class set
-ambiguous come out of the same pass, one length level at a time, and
-are flagged as pathological, but never abort the run.
+The pipeline per complex: enumerate Horton candidate cycles from
+per-vertex shortest-path trees, then select a minimum basis in one
+greedy pass over the candidates sorted by (length, edge ids). Each
+candidate's homology class (read off the complex's spanning forest and
+reduced triangle boundaries) is reduced against the classes kept so
+far, and it is kept when the residue is nonzero. Which cycles are kept
+depends only on that order, not on the class coordinates. Cycles tied
+at the minimal length within the same class are reported together as
+a variant set ("draws"). Ties *across* classes that make the chosen
+class set ambiguous come out of the same pass, one length level at a
+time, and are flagged as pathological, but never abort the run.
 
-Along a filtration the candidates come from one ``HortonSweep`` over
-ascending prefix views of the full complex. It scales the mu lengths
-once, recomputes a root's shortest-path tree only when a new edge can
-change it, and remembers the cycles already found to be boundaries.
-The pool at every step is exactly the Horton pool of that step's
-complex, so the basis is the same as from a fresh search.
+Along a filtration the candidates and classes come from one
+``HortonSweep`` over ascending prefix views of the full complex. It
+scales the mu lengths once, recomputes a root's shortest-path tree
+only when a new edge can change it, and otherwise keeps that root's
+cycles. It reduces each triangle boundary once, into classes whose
+coordinates are the non-tree edge positions, and remembers the cycles
+already found to be boundaries. The pool at every step is exactly the
+Horton pool of that step's complex, so the basis is the same as from a
+fresh search.
 
 Draw sets are draws within the Horton candidate pool; a tied
 representative that is not of shortest-path form is invisible here.
@@ -109,80 +111,7 @@ class MinimalBasisWithDraws:
 
 
 # ---------------------------------------------------------------------------
-# edge annotations
-
-
-@dataclass
-class _EdgeAnnotations:
-    beta1: int
-    ann_by_pos: list[int]  # Z2^beta1 bitset per complex edge position
-    nt_mask: int  # bitset of non-tree edge positions
-
-    def annotation_of_mask(self, mask: int) -> int:
-        """Class of a cycle given as a bitset of edge positions."""
-        ann = 0
-        bits = mask & self.nt_mask
-        while bits:
-            lsb = bits & -bits
-            ann ^= self.ann_by_pos[lsb.bit_length() - 1]
-            bits ^= lsb
-        return ann
-
-
-def _annotate(cx: FlagComplex2) -> _EdgeAnnotations:
-    # the reduced triangle boundaries are cycles, so each low is a
-    # non-tree edge, and restricted to the non-tree edges they are
-    # their fundamental-cycle coordinates
-    nt_mask = ((1 << cx.n_edges) - 1) ^ cx.tree
-    cols = [c & nt_mask for c in cx.reduced if c]
-    pivots = {c.bit_length() - 1: j for j, c in enumerate(cols)}
-    # back-eliminate: each pivot row survives in exactly its own column,
-    # so a pivot edge's class is the rest of that column
-    for p in sorted(pivots, reverse=True):
-        j = pivots[p]
-        for j2 in range(len(cols)):
-            if j2 != j and (cols[j2] >> p) & 1:
-                cols[j2] ^= cols[j]
-
-    free_rows = [
-        p for p in range(cx.n_edges) if (nt_mask >> p) & 1 and p not in pivots
-    ]
-    free_bit = {r: i for i, r in enumerate(free_rows)}
-
-    def coords(x: int) -> int:
-        out = 0
-        while x:
-            lsb = x & -x
-            out |= 1 << free_bit[lsb.bit_length() - 1]
-            x ^= lsb
-        return out
-
-    ann_by_pos = [0] * cx.n_edges
-    for p in free_rows:
-        ann_by_pos[p] = 1 << free_bit[p]
-    for p, j in pivots.items():
-        ann_by_pos[p] = coords(cols[j] ^ (1 << p))
-    return _EdgeAnnotations(
-        beta1=len(free_rows), ann_by_pos=ann_by_pos, nt_mask=nt_mask
-    )
-
-
-def annotate_edges(cx: FlagComplex2) -> tuple[int, dict[int, int]]:
-    """First Betti number and the class annotation of every edge.
-
-    Annotations are bitsets over beta1 coordinates, keyed by graph edge
-    id, and are additive: the class of any cycle is the XOR of its
-    member edges' annotations. Tree edges carry 0.
-    """
-    ednn = _annotate(cx)
-    by_id = {
-        cx.edge_ids[p]: ednn.ann_by_pos[p] for p in range(cx.n_edges)
-    }
-    return ednn.beta1, by_id
-
-
-# ---------------------------------------------------------------------------
-# Horton candidate cycles, swept along a filtration
+# Horton candidate cycles and edge classes, swept along a filtration
 
 
 def _mu_by_pos(cx: FlagComplex2, mu_weights: dict[int, Fraction] | None) -> list[Fraction]:
@@ -286,7 +215,8 @@ def _length(mask: int, imu: list[int]) -> int:
 
 
 class HortonSweep:
-    """Horton candidate pools of ascending prefix views of one complex.
+    """Horton candidate pools and cycle classes of ascending prefix
+    views of one complex.
 
     A sweep is built for the largest view it will see, its horizon: the
     mu weights of the horizon's edges are checked and scaled to integers
@@ -297,12 +227,23 @@ class HortonSweep:
 
     The adjacency grows by the view's new edges. A root's shortest-path
     tree is recomputed only when one of them can change it (``_moves``);
-    otherwise the root's earlier candidate edges stand and only the new
-    edges are tested. So every pool equals the one a fresh search of
-    the view would find.
+    otherwise the root's earlier cycles stand and only the new edges are
+    tested. From the first step its tree survives, a root keeps its
+    cycles (mask -> scaled length) and merges them into each later pool
+    whole; a recompute drops them. A root recomputed at every step, the
+    common case on tied weights, stores nothing. So every pool equals
+    the one a fresh search of the view would find.
+
+    Classes live in the coordinates of the horizon's non-tree positions,
+    which never change along the sweep. The sweep keeps every boundary
+    column it has seen, restricted to those positions, in fully reduced
+    echelon form (pivot position -> column): a new triangle's column is
+    reduced against the pivots, and its pivot is cleared from the older
+    columns. ``class_of`` is then canonical per class, and zero exactly
+    for boundaries of the last view.
 
     ``retired`` collects masks found to be boundaries. A later view only
-    adds triangles, so they stay boundaries and need no annotation.
+    adds triangles, so they stay boundaries and need no class.
     """
 
     def __init__(
@@ -315,14 +256,21 @@ class HortonSweep:
         self.retired: set[int] = set()
         self.epsilon: Fraction | None = None  # of the last view
         n = horizon.n_vertices
+        self._nt = ((1 << horizon.n_edges) - 1) ^ horizon.tree
+        self._cols: dict[int, int] = {}  # pivot position -> boundary column
+        self._pivots = 0  # bitset of the pivot positions
+        self._n_triangles = 0  # boundary columns absorbed so far
         self._ends = [horizon.edge_vertices(p) for p in range(horizon.n_edges)]
         self._adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         self._trees: list[tuple | None] = [None] * n
-        self._hits: list[list[int]] = [[] for _ in range(n)]  # candidate edges
+        self._hits: list[list[int]] = [[] for _ in range(n)]  # since recompute
+        self._cycles: list[dict[int, int] | None] = [None] * n  # of kept trees
+        # for the summary log
+        self.steps = self.recomputed = self.reused = self.largest_pool = 0
 
-    def advance(self, cx: FlagComplex2) -> dict[int, int]:
-        """Horton cycles of the view cx, as edge-position mask -> scaled
-        mu-length (divide by ``denom`` for the exact length)."""
+    def _take(self, cx: FlagComplex2) -> int:
+        """Check that cx extends the last view, absorb its new triangle
+        boundaries, and return its beta1."""
         h = self.horizon
         if cx.graph is not h.graph and cx.graph != h.graph:
             raise ValueError("complex is not a view of the sweep's graph")
@@ -333,6 +281,44 @@ class HortonSweep:
         if cx.epsilon > h.epsilon:
             raise ValueError(f"view at {cx.epsilon} is past the horizon {h.epsilon}")
         self.epsilon = cx.epsilon
+        cols, nt = self._cols, self._nt
+        for col in cx.reduced[self._n_triangles:]:
+            c = col & nt
+            bits = c & self._pivots
+            while bits:
+                lsb = bits & -bits
+                c ^= cols[lsb.bit_length() - 1]
+                bits ^= lsb
+            if c:
+                p = c.bit_length() - 1
+                bit = 1 << p
+                for q, older in cols.items():
+                    if older & bit:
+                        cols[q] = older ^ c
+                cols[p] = c
+                self._pivots |= bit
+        self._n_triangles = cx.n_triangles
+        return cx.n_edges - cx.tree.bit_count() - len(cols)
+
+    def class_of(self, mask: int) -> int:
+        """Class of a cycle of the last view, given as a bitset of edge
+        positions: equal exactly for homologous cycles, 0 for boundaries."""
+        x = mask & self._nt
+        bits = x & self._pivots
+        cols = self._cols
+        while bits:
+            lsb = bits & -bits
+            x ^= cols[lsb.bit_length() - 1]
+            bits ^= lsb
+        return x
+
+    def advance(self, cx: FlagComplex2) -> dict[int, int]:
+        """Horton cycles of the view cx, as edge-position mask -> scaled
+        mu-length (divide by ``denom`` for the exact length)."""
+        self._take(cx)
+        return self._pool(cx)
+
+    def _pool(self, cx: FlagComplex2) -> dict[int, int]:
         imu, ends, adj = self.imu, self._ends, self._adj
         new = range(len(self.cycle_lengths), cx.n_edges)
         for p in new:
@@ -345,14 +331,18 @@ class HortonSweep:
         found: dict[int, int] = {}
         for root in range(n):
             tree = self._trees[root]
-            if tree is None or any(_moves(tree[0], *ends[p], imu[p]) for p in new):
-                tree = self._trees[root] = _sp_tree(adj, n, root)
-                hits = self._hits[root] = []
-                scan = range(cx.n_edges)
-            else:
-                hits = self._hits[root]
+            kept = tree is not None and not any(
+                _moves(tree[0], *ends[p], imu[p]) for p in new
+            )
+            if kept:
                 scan = new
+            else:
+                tree = self._trees[root] = _sp_tree(adj, n, root)
+                self._cycles[root] = None
+                self.recomputed += 1
+                scan = range(cx.n_edges)
             dist, pred, branch, pathmask = tree
+            hits = []
             for p in scan:
                 a, b = ends[p]
                 if (
@@ -363,12 +353,65 @@ class HortonSweep:
                     and branch[a] != branch[b]
                 ):
                     hits.append(p)
+            if not kept:
+                self._hits[root] = hits
+                out = found
+            elif self._cycles[root] is None:  # first step the tree survives
+                out = self._cycles[root] = {}
+                hits = self._hits[root] + hits
+                self._hits[root] = []
+            else:
+                out = self._cycles[root]
+                self.reused += 1
             for p in hits:
                 a, b = ends[p]
-                mask = pathmask[a] ^ pathmask[b] ^ (1 << p)
-                if mask not in found:
-                    found[mask] = dist[a] + dist[b] + imu[p]
+                out[pathmask[a] ^ pathmask[b] ^ (1 << p)] = dist[a] + dist[b] + imu[p]
+            if out is not found:
+                found.update(out)
+        self.steps += 1
+        self.largest_pool = max(self.largest_pool, len(found))
         return found
+
+    def log_summary(self) -> None:
+        """Log at INFO what the sweep did so far."""
+        logger.info(
+            "Horton sweep: %d steps, %d of %d trees recomputed, %d roots "
+            "reused, %d boundaries absorbed, largest pool %d",
+            self.steps,
+            self.recomputed,
+            self.steps * len(self._trees),
+            self.reused,
+            len(self._cols),
+            self.largest_pool,
+        )
+
+
+def annotate_edges(cx: FlagComplex2) -> tuple[int, dict[int, int]]:
+    """First Betti number and the class annotation of every edge.
+
+    Annotations are bitsets over beta1 coordinates, keyed by graph edge
+    id, and are additive: the class of any cycle is the XOR of its
+    member edges' annotations. Tree edges carry 0. They are the classes
+    of a one-step sweep over cx, with each free (non-tree, non-pivot)
+    position renumbered to one coordinate in ascending order.
+    """
+    sweep = HortonSweep(cx)
+    beta1 = sweep._take(cx)
+    free = sweep._nt & ~sweep._pivots
+    coord: dict[int, int] = {}
+    while free:
+        lsb = free & -free
+        coord[lsb.bit_length() - 1] = 1 << len(coord)
+        free ^= lsb
+    by_id = {}
+    for p in range(cx.n_edges):
+        x, ann = sweep.class_of(1 << p), 0
+        while x:
+            lsb = x & -x
+            ann |= coord[lsb.bit_length() - 1]
+            x ^= lsb
+        by_id[cx.edge_ids[p]] = ann
+    return beta1, by_id
 
 
 # ---------------------------------------------------------------------------
@@ -405,18 +448,16 @@ def min_basis_with_draws(
     decided only by edge-id order. It is logged as a warning and
     recorded, never raised.
     """
-    ednn = _annotate(cx)
-    beta1 = ednn.beta1
-    if beta1 == 0:
-        return MinimalBasisWithDraws(
-            beta1=0, variant_sets=(), pathology_events=()
-        )
-
     if sweep is None:
         sweep = HortonSweep(cx, mu_weights)
     elif sweep.mu_weights is not mu_weights:
         raise ValueError("sweep was built for other mu weights")
-    found = sweep.advance(cx)
+    beta1 = sweep._take(cx)
+    if beta1 == 0:
+        return MinimalBasisWithDraws(
+            beta1=0, variant_sets=(), pathology_events=()
+        )
+    found = sweep._pool(cx)
     # the fundamental cycles span every class, so the pool always does
     for mask, length in zip(cx.cycles, sweep.cycle_lengths):
         if mask:  # tree positions carry 0
@@ -436,7 +477,7 @@ def min_basis_with_draws(
         # edge id sets are distinct, so the sort never compares classes
         cands: list[tuple[tuple[int, ...], int]] = []
         for mask in levels[level]:
-            ann = ednn.annotation_of_mask(mask)
+            ann = sweep.class_of(mask)
             if ann:
                 cands.append((cx.ids_of_mask(mask), ann))
             else:  # a boundary, never selectable

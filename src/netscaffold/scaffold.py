@@ -8,10 +8,12 @@ variant splits each count evenly across the tied representatives of a
 variant set, in exact rationals.
 
 The per-step bases come from one Horton sweep along the filtration
-(``minbasis.HortonSweep``), which carries shortest-path trees and known
-boundaries from step to step. With workers > 1 the active steps are cut
-into contiguous chunks of near-equal total edge count, one sweep per
-chunk, run in a process pool.
+(``minbasis.HortonSweep``), which carries shortest-path trees, the
+cycles of the roots whose trees survive, the reduced triangle
+boundaries and known boundaries from step to step, and logs a summary
+at INFO when its chunk is done. With workers > 1 the active steps are
+cut into contiguous chunks of near-equal total edge count, one sweep
+per chunk, run in a process pool.
 Every sweep finds exactly the pool a fresh search would, results are
 aggregated in step order either way, and the arithmetic is exact, so
 worker count never changes the output.
@@ -129,10 +131,12 @@ def _sweep_chunk(
 ) -> list[tuple[Fraction, MinimalBasisWithDraws]]:
     """Bases of ascending steps from one Horton sweep over their views."""
     sweep = HortonSweep(cx.at(chunk[-1]), mu_weights)
-    return [
+    bases = [
         (eps, min_basis_with_draws(cx.at(eps), mu_weights, sweep))
         for eps in chunk
     ]
+    sweep.log_summary()
+    return bases
 
 
 def _chunk_job(chunk: list[Fraction]) -> list[tuple[Fraction, MinimalBasisWithDraws]]:

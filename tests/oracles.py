@@ -5,8 +5,9 @@ internals: breadth-first components instead of union-find, dense
 Gaussian elimination with lowest-bit pivots instead of bitset column
 reduction with highest-bit pivots, exhaustive cycle-space
 enumeration instead of candidate generation, and one fresh Horton
-search per complex instead of a sweep along the filtration. Slow on
-purpose; only run on small inputs.
+search and one back-eliminated boundary reduction per complex instead
+of a sweep along the filtration. Slow on purpose; only run on small
+inputs.
 
 The exceptions are the adapters at the end, which only reshape what
 the package returns: the Horton pool of one complex as sorted
@@ -215,6 +216,57 @@ def make_residue_fn(boundary_masks: list[int]):
     return residue
 
 
+def back_eliminated_classes(cx):
+    """Beta1 of one complex and its class function, from scratch.
+
+    The complex's reduced triangle boundaries, restricted to its
+    non-tree positions, are back-eliminated until each pivot row lives
+    in its own column only; the free rows then number the beta1
+    coordinates, and a pivot edge's class is the rest of its column.
+    The class of a cycle (a bitset of edge positions) is the XOR of its
+    edges' classes. This is how the library annotated every step before
+    its sweep kept the reduction from step to step.
+    """
+    nt_mask = ((1 << cx.n_edges) - 1) ^ cx.tree
+    cols = [c & nt_mask for c in cx.reduced if c]
+    pivots = {c.bit_length() - 1: j for j, c in enumerate(cols)}
+    for p in sorted(pivots, reverse=True):
+        j = pivots[p]
+        for j2 in range(len(cols)):
+            if j2 != j and (cols[j2] >> p) & 1:
+                cols[j2] ^= cols[j]
+
+    free_rows = [
+        p for p in range(cx.n_edges) if (nt_mask >> p) & 1 and p not in pivots
+    ]
+    free_bit = {r: i for i, r in enumerate(free_rows)}
+
+    def coords(x: int) -> int:
+        out = 0
+        while x:
+            lsb = x & -x
+            out |= 1 << free_bit[lsb.bit_length() - 1]
+            x ^= lsb
+        return out
+
+    ann_by_pos = [0] * cx.n_edges
+    for p in free_rows:
+        ann_by_pos[p] = 1 << free_bit[p]
+    for p, j in pivots.items():
+        ann_by_pos[p] = coords(cols[j] ^ (1 << p))
+
+    def class_of(mask: int) -> int:
+        ann = 0
+        bits = mask & nt_mask
+        while bits:
+            lsb = bits & -bits
+            ann ^= ann_by_pos[lsb.bit_length() - 1]
+            bits ^= lsb
+        return ann
+
+    return len(free_rows), class_of
+
+
 def mask_length(mask: int, weights: list[Fraction]) -> Fraction:
     total = Fraction(0)
     i = 0
@@ -328,9 +380,10 @@ def _lca(a: int, b: int, pred: list[int], depth: list[int]) -> int:
     return a
 
 
-def horton_pool(cx, mu: list[Fraction]) -> dict[int, Fraction]:
+def horton_pool(cx, mu: list[Fraction], roots=None) -> dict[int, Fraction]:
     """Horton cycles of one flag complex from a fresh search, as
     edge-position mask -> length; mu[p] is the length of position p.
+    roots limits the search to those roots (default: every vertex).
 
     For root v and edge (a,b): tree paths v->a, v->b plus the edge,
     kept when the edge is not a tree edge of v and the paths meet only
@@ -345,7 +398,7 @@ def horton_pool(cx, mu: list[Fraction]) -> dict[int, Fraction]:
         adj[u].append((v, mu[p], p))
         adj[v].append((u, mu[p], p))
     found: dict[int, Fraction] = {}
-    for root in range(n):
+    for root in range(n) if roots is None else roots:
         dist, pred, depth, pathmask = _sp_tree(adj, n, root)
         for p in range(cx.n_edges):
             a, b = cx.edge_vertices(p)

@@ -24,6 +24,7 @@ from netscaffold.scaffold import step_bases
 
 from .oracles import (
     all_cycle_vectors,
+    back_eliminated_classes,
     brute_min_basis_total,
     components_bfs,
     edge_position,
@@ -417,6 +418,20 @@ def graph_and_mu(draw):
     return g, mu
 
 
+def moving_trees_graph():
+    """Distinct weights 1..10 on 6 vertices, 5 active steps of 10.
+    Roots 0 and 3 have their trees moved at the sixth step and kept for
+    the last four, so each stores its cycles at the seventh step and
+    merges them whole, plus the new edges' cycles, at the next three."""
+    return make_graph(
+        6,
+        [
+            (0, 1, 4), (0, 3, 1), (0, 5, 5), (1, 2, 8), (1, 4, 10),
+            (2, 3, 6), (2, 4, 7), (2, 5, 3), (3, 4, 9), (4, 5, 2),
+        ],
+    )
+
+
 def mu_of(cx, mu):
     return [
         cx.edge_weight(p) if mu is None else mu[cx.edge_ids[p]]
@@ -448,6 +463,88 @@ class TestHortonSweep:
                     for m, l in sweep.advance(view).items()
                 }
                 assert got == horton_pool(view, mu_of(view, mu))
+
+    @given(graph_and_mu())
+    @settings(max_examples=120, deadline=None)
+    def test_classes_match_back_elimination_at_every_step(self, case):
+        g, mu = case
+        f = build_filtration(g)
+        barcode = compute_persistence(f)
+        cx = barcode.complex
+        active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
+        for steps in (active, f.steps):
+            if not steps:
+                continue
+            sweep = HortonSweep(cx.at(steps[-1]), mu)
+            for eps in steps:
+                view = cx.at(eps)
+                beta1, oracle = back_eliminated_classes(view)
+                assert annotate_edges(view) == (
+                    beta1,
+                    {view.edge_ids[p]: oracle(1 << p) for p in range(view.n_edges)},
+                )
+                # advancing the same view again changes nothing
+                for _ in range(2):
+                    pool = sweep.advance(view)
+                    assert sweep._take(view) == beta1
+                    # sweep class -> oracle class must be a bijection
+                    # that keeps 0, over the pool and the fundamental cycles
+                    seen: dict[int, int] = {}
+                    for mask in [*pool, *(m for m in view.cycles if m)]:
+                        got, want = sweep.class_of(mask), oracle(mask)
+                        assert (got == 0) == (want == 0)
+                        assert seen.setdefault(got, want) == want
+                    assert len(set(seen.values())) == len(seen)
+
+    def test_kept_roots_store_their_cycles(self):
+        g = moving_trees_graph()
+        cx = full_complex(g)
+        sweep = HortonSweep(cx)
+        kept_since_recompute = [None] * g.n_vertices
+        longest = 0
+        for eps in build_filtration(g).steps:
+            view = cx.at(eps)
+            before = list(sweep._trees)
+            got = {m: Fraction(l, sweep.denom) for m, l in sweep.advance(view).items()}
+            assert got == horton_pool(view, mu_of(view, None))
+            for root, tree in enumerate(sweep._trees):
+                if before[root] is None:
+                    continue
+                if tree is before[root]:
+                    stored = sweep._cycles[root]
+                    assert {m: Fraction(l, sweep.denom) for m, l in stored.items()} == (
+                        horton_pool(view, mu_of(view, None), roots=[root])
+                    )
+                    if kept_since_recompute[root] is not None:
+                        kept_since_recompute[root] += 1
+                        longest = max(longest, kept_since_recompute[root])
+                else:
+                    # recomputed at its latest step: nothing stored
+                    assert sweep._cycles[root] is None
+                    kept_since_recompute[root] = 0
+        assert longest >= 3
+        assert sweep.reused > 0
+
+    def test_step_bases_logs_one_summary_at_info(self, caplog):
+        g = moving_trees_graph()
+        f = build_filtration(g)
+        barcode = compute_persistence(f)
+        with caplog.at_level(logging.INFO, logger="netscaffold.minbasis"):
+            results = step_bases(f, barcode)
+        records = [r for r in caplog.records if "Horton sweep" in r.getMessage()]
+        assert len(records) == 1
+        assert records[0].levelno == logging.INFO
+        views = [barcode.complex.at(eps) for eps, _ in results]
+        last = views[-1]
+        absorbed = last.n_edges - last.tree.bit_count() - results[-1][1].beta1
+        largest = max(len(horton_pool(v, mu_of(v, None))) for v in views)
+        steps = len(results)
+        msg = records[0].getMessage()
+        assert msg.startswith(f"Horton sweep: {steps} steps, ")
+        assert f" of {steps * g.n_vertices} trees recomputed, " in msg
+        assert msg.endswith(
+            f" {absorbed} boundaries absorbed, largest pool {largest}"
+        )
 
     def test_view_that_does_not_extend_the_last_one_raises(
         self, theta_graph, unit_square
