@@ -118,9 +118,6 @@ class WeightedGraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def weights(self) -> tuple[Fraction, ...]:
-        return tuple(w for _, _, w in self.edges)
-
     def max_weight(self) -> Fraction:
         if not self.edges:
             return Fraction(0)

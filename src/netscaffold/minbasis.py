@@ -1,16 +1,18 @@
 """Minimum-length homology bases of flag complexes, with draw detection.
 
 The pipeline per complex: enumerate Horton candidate cycles from
-per-vertex shortest-path trees, then select a minimum basis in one
-greedy pass over the candidates sorted by (length, edge ids). Each
-candidate's homology class (read off the complex's spanning forest and
-reduced triangle boundaries) is reduced against the classes kept so
-far, and it is kept when the residue is nonzero. Which cycles are kept
-depends only on that order, not on the class coordinates. Cycles tied
-at the minimal length within the same class are reported together as
-a variant set ("draws"). Ties *across* classes that make the chosen
-class set ambiguous come out of the same pass, one length level at a
-time, and are flagged as pathological, but never abort the run.
+per-vertex shortest-path trees, then select a minimum basis greedily in
+(length, edge ids) order, one length level at a time. A level's
+candidates are grouped by homology class (read off the complex's
+spanning forest and reduced triangle boundaries). Only the classes not
+spanned by the classes kept before the level can enter; their members
+alone are converted to edge ids, and they are tried in order of their
+smallest member, each kept when it is independent of the classes kept
+so far. Which cycles are kept depends only on that order, not on the
+class coordinates. Cycles tied at the minimal length within the same
+class are reported together as a variant set ("draws"). Ties *across*
+classes that make the chosen class set ambiguous come out of the same
+pass and are flagged as pathological, but never abort the run.
 
 Along a filtration the candidates and classes come from one
 ``HortonSweep`` over ascending prefix views of the full complex. It
@@ -220,10 +222,11 @@ class HortonSweep:
 
     A sweep is built for the largest view it will see, its horizon: the
     mu weights of the horizon's edges are checked and scaled to integers
-    once. Each ``advance`` takes a view that extends the previous one
-    and returns that view's Horton pool. For root v and edge (a,b) the
-    pool holds the tree paths v->a, v->b plus the edge, when the edge is
-    not a tree edge and the paths meet only at v.
+    once. ``_take`` absorbs a view that extends the previous one, and
+    ``_pool`` then returns that view's Horton pool (mask -> scaled
+    mu-length; divide by ``denom`` for the exact length). For root v and
+    edge (a,b) the pool holds the tree paths v->a, v->b plus the edge,
+    when the edge is not a tree edge and the paths meet only at v.
 
     The adjacency grows by the view's new edges. A root's shortest-path
     tree is recomputed only when one of them can change it (``_moves``);
@@ -311,12 +314,6 @@ class HortonSweep:
             x ^= cols[lsb.bit_length() - 1]
             bits ^= lsb
         return x
-
-    def advance(self, cx: FlagComplex2) -> dict[int, int]:
-        """Horton cycles of the view cx, as edge-position mask -> scaled
-        mu-length (divide by ``denom`` for the exact length)."""
-        self._take(cx)
-        return self._pool(cx)
 
     def _pool(self, cx: FlagComplex2) -> dict[int, int]:
         imu, ends, adj = self.imu, self._ends, self._adj
@@ -440,23 +437,23 @@ def min_basis_with_draws(
     mu_weights object) plus the fundamental cycles of cx's forest. One
     greedy pass over them in (length, edge ids) order, one length level
     at a time, keeps a candidate when its class is independent of the
-    classes kept so far. The kept candidates form the unique minimum
-    basis of the pool under that order. A kept candidate's variant set
-    is every candidate of its level with the same class. A level that
-    keeps fewer candidates than it has distinct classes not spanned at
-    its start is a pathology: which of those classes enter the basis is
-    decided only by edge-id order. It is logged as a warning and
-    recorded, never raised.
+    classes kept so far. Each level is grouped by class first. A class
+    spanned at the level's start can keep nothing, so only the others
+    are converted to edge ids and tried, in order of their smallest
+    member; each reduces once against the span at the level's start and
+    once more against the span as the level grows it. The kept
+    candidates form the unique minimum basis of the pool under that
+    order. A kept candidate's variant set is every candidate of its
+    level with the same class. A level that keeps fewer candidates than
+    it has classes not spanned at its start is a pathology: which of
+    those classes enter the basis is decided only by edge-id order. It
+    is logged as a warning and recorded, never raised.
     """
     if sweep is None:
         sweep = HortonSweep(cx, mu_weights)
     elif sweep.mu_weights is not mu_weights:
         raise ValueError("sweep was built for other mu weights")
     beta1 = sweep._take(cx)
-    if beta1 == 0:
-        return MinimalBasisWithDraws(
-            beta1=0, variant_sets=(), pathology_events=()
-        )
     found = sweep._pool(cx)
     # the fundamental cycles span every class, so the pool always does
     for mask, length in zip(cx.cycles, sweep.cycle_lengths):
@@ -473,41 +470,42 @@ def min_basis_with_draws(
     for level in sorted(levels):
         if len(kept) == beta1:
             break
-        # classes and edge ids only for the levels the greedy reaches;
-        # edge id sets are distinct, so the sort never compares classes
-        cands: list[tuple[tuple[int, ...], int]] = []
+        # classes only for the levels the greedy reaches
+        by_class: dict[int, list[int]] = {}
         for mask in levels[level]:
             ann = sweep.class_of(mask)
             if ann:
-                cands.append((cx.ids_of_mask(mask), ann))
+                by_class.setdefault(ann, []).append(mask)
             else:  # a boundary, never selectable
                 sweep.retired.add(mask)
-        cands.sort()
+        # edge ids only for the classes not spanned at the start of the
+        # level, as (sorted members, residue), in order of their smallest
+        # member; no two classes share a member
+        new = []
+        for ann, masks in by_class.items():
+            r = _reduce(span, ann)
+            if r:
+                new.append((sorted(map(cx.ids_of_mask, masks)), r))
+        new.sort(key=lambda c: c[0][0])
         length_mu = Fraction(level, sweep.denom)
-        # classes in order of their first (smallest edge ids) member
-        by_class: dict[int, list[tuple[int, ...]]] = {}
-        for ids, ann in cands:
-            by_class.setdefault(ann, []).append(ids)
-        # not spanned at the start of the level
-        new_classes = [a for a in by_class if _reduce(span, a)]
         gained = 0
-        for a in new_classes:
-            r = _reduce(span, a)
+        for members, r in new:
+            # the first residue cleared only the level-start pivots
+            r = _reduce(span, r)
             if r:
                 span[r.bit_length() - 1] = r
                 kept.append(
                     VariantSet(
                         cycles=tuple(
-                            Cycle(edges=ids, length_mu=length_mu)
-                            for ids in by_class[a]
+                            Cycle(edges=ids, length_mu=length_mu) for ids in members
                         )
                     )
                 )
                 gained += 1
-        if gained < len(new_classes):
+        if gained < len(new):
             ev = PathologyEvent(
                 level=length_mu,
-                n_classes=len(new_classes),
+                n_classes=len(new),
                 rank_increment=gained,
             )
             logger.warning(

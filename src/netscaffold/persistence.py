@@ -40,12 +40,6 @@ class PersistencePair:
     death: Fraction | None
     generator: Cycle | None = None
 
-    @property
-    def persistence(self) -> Fraction | None:
-        if self.death is None:
-            return None
-        return self.death - self.birth
-
 
 @dataclass(frozen=True)
 class Barcode:

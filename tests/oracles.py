@@ -4,10 +4,11 @@ Everything here is deliberately written without importing package
 internals: breadth-first components instead of union-find, dense
 Gaussian elimination with lowest-bit pivots instead of bitset column
 reduction with highest-bit pivots, exhaustive cycle-space
-enumeration instead of candidate generation, and one fresh Horton
+enumeration instead of candidate generation, one fresh Horton
 search and one back-eliminated boundary reduction per complex instead
-of a sweep along the filtration. Slow on purpose; only run on small
-inputs.
+of a sweep along the filtration, and a basis selection that converts
+every candidate and tests independence by rank. Slow on purpose; only
+run on small inputs.
 
 The exceptions are the adapters at the end, which only reshape what
 the package returns: the Horton pool of one complex as sorted
@@ -19,7 +20,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 
 from netscaffold.minbasis import Cycle, HortonSweep
 
@@ -414,6 +415,55 @@ def horton_pool(cx, mu: list[Fraction], roots=None) -> dict[int, Fraction]:
     return found
 
 
+def reference_selection(cx, mu: list[Fraction]):
+    """Minimum basis of one flag complex by a two-pass greedy, as
+    (beta1, variant sets, pathology events); mu[p] is the length of
+    position p.
+
+    The candidates are the fresh Horton pool plus the complex's
+    fundamental cycles, classed by back-elimination, converted to
+    edge ids and sorted by (length, edge ids). The pass runs one length
+    level at a time until beta1 classes are kept. The level's nonzero
+    classes not spanned at its start are its new classes; each new class
+    that raises the rank of the classes kept so far is kept, in order of
+    its first member. A variant set is (length, members' edge ids in
+    order); an event is (level, new classes, classes kept), recorded
+    when the level keeps fewer classes than it has new ones.
+    """
+    beta1, class_of = back_eliminated_classes(cx)
+    pool = horton_pool(cx, mu)
+    for mask in cx.cycles:
+        if mask:
+            pool.setdefault(mask, mask_length(mask, mu))
+    cands = sorted(
+        (
+            length,
+            tuple(sorted(cx.edge_ids[p] for p in range(cx.n_edges) if mask >> p & 1)),
+            class_of(mask),
+        )
+        for mask, length in pool.items()
+    )
+    kept: list[int] = []
+    sets, events = [], []
+    for level, group in groupby(cands, key=lambda c: c[0]):
+        if len(kept) == beta1:
+            break
+        members: dict[int, list[tuple[int, ...]]] = {}
+        for _, ids, a in group:
+            if a:
+                members.setdefault(a, []).append(ids)
+        new = [a for a in members if gf2_rank_lowbit(kept + [a]) > len(kept)]
+        gained = 0
+        for a in new:
+            if gf2_rank_lowbit(kept + [a]) > len(kept):
+                kept.append(a)
+                sets.append((level, tuple(members[a])))
+                gained += 1
+        if gained < len(new):
+            events.append((level, len(new), gained))
+    return beta1, sets, events
+
+
 # ---------------------------------------------------------------------------
 # adapters over package results
 
@@ -426,9 +476,10 @@ def horton_candidates(cx, mu_weights=None) -> list[Cycle]:
     (keyed by graph edge id); shortest-path trees use the same metric.
     """
     sweep = HortonSweep(cx, mu_weights)
+    sweep._take(cx)
     cycles = [
         Cycle(edges=cx.ids_of_mask(m), length_mu=Fraction(l, sweep.denom))
-        for m, l in sweep.advance(cx).items()
+        for m, l in sweep._pool(cx).items()
     ]
     cycles.sort(key=lambda c: c.sort_key)
     return cycles

@@ -1,16 +1,24 @@
-"""No module imports a name it never uses, no private helper is dead,
-no command but ``compare`` loads scipy, and only a process pool loads
-multiprocessing.
+"""No module imports a name it never uses, no private helper or class
+member is dead, no command but ``compare`` loads scipy, and only a
+process pool loads multiprocessing.
 
-The first two checks are the lint step. The unused-import check covers
-every library module except ``__init__.py`` (whose imports are the
-package's re-exports) and every test module. The dead-helper check
+The first three checks are the lint step. The unused-import check
+covers every library module except ``__init__.py`` (whose imports are
+the package's re-exports) and every test module. The dead-helper check
 covers the top-level ``_name`` functions and classes of the library:
 each must be referenced somewhere in the library outside its own
-definition. The import guards run each case in a fresh interpreter and
-list the modules it loaded under a prefix: importing the package must
-load no scipy, and ``compare`` only ``scipy.special``; neither the
-import nor a serial ``scaffold`` run may load ``multiprocessing`` or
+definition. The dead-member check covers the methods and properties of
+the library's top-level classes: each name must be read somewhere in
+the library, ``perfbench/`` or ``demos/`` outside its own definition;
+what only the tests read is dead. It matches names, not classes, so a
+member whose name another class shares escapes it: reads of the field
+``FlagComplex2.weights`` hid the dead ``WeightedGraph.weights()``, and
+reads of ``ComparisonReport.to_json`` cover ``GeneratorConfig.to_json``,
+which writes the documented ``--config`` format and stays. The import
+guards run each case in a fresh interpreter and list the modules it
+loaded under a prefix: importing the package must load no scipy, and
+``compare`` only ``scipy.special``; neither the import nor a serial
+``scaffold`` run may load ``multiprocessing`` or
 ``concurrent.futures.process``.
 """
 
@@ -27,6 +35,10 @@ ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src" / "netscaffold").glob("*.py"))
 CHECKED = [p for p in LIBRARY if p.name != "__init__.py"] + sorted(
     (ROOT / "tests").glob("*.py")
+)
+# callers outside the library whose reads keep a class member alive
+CALLERS = sorted((ROOT / "perfbench").glob("*.py")) + sorted(
+    (ROOT / "demos").glob("*.py")
 )
 
 
@@ -129,6 +141,67 @@ def test_dead_helper_checker_flags_only_unreferenced_helpers():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text() for p in LIBRARY}
     assert dead_private_helpers(sources) == []
+
+
+def dead_members(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Methods and properties of the top-level classes in sources whose
+    name no module of sources or callers reads outside the member's own
+    definition, as ``module:Class.name``. Dunder methods are left out:
+    the language calls them."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    readers = [*trees.values(), *(ast.parse(src) for src in callers.values())]
+    dead = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                if node.name.startswith("__") and node.name.endswith("__"):
+                    continue
+                if not any(node.name in _names_read(t, node) for t in readers):
+                    dead.append(f"{module}:{cls.name}.{node.name}")
+    return sorted(dead)
+
+
+def test_dead_member_checker_flags_only_unread_members():
+    sources = {
+        "a.py": (
+            "class Sweep:\n"
+            "    def __len__(self): return 0\n"
+            "    def _take(self): return self._pool()\n"
+            "    def _pool(self): return self._pool\n"
+            "    def advance(self):\n"
+            "        self._take()\n"
+            "        return self.advance\n"
+            "    def log_summary(self): pass\n"
+            "class Pair:\n"
+            "    @property\n"
+            "    def persistence(self): return 1\n"
+            "    @property\n"
+            "    def dim(self): return 1\n"
+            "class Graph:\n"
+            "    def weights(self): return ()\n"
+            "def use(sweep, pair):\n"
+            "    weights = sweep._take()\n"
+            "    return pair.dim, weights\n"
+        ),
+    }
+    callers = {"run.py": "from a import Sweep\nSweep().log_summary()\n"}
+    # Graph.weights is dead too, but a local variable's name hides it
+    assert dead_members(sources, callers) == [
+        "a.py:Pair.persistence", "a.py:Sweep.advance"
+    ]
+    assert dead_members(sources, {}) == [
+        "a.py:Pair.persistence", "a.py:Sweep.advance", "a.py:Sweep.log_summary"
+    ]
+
+
+def test_no_dead_members():
+    sources = {p.name: p.read_text() for p in LIBRARY}
+    callers = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
+    assert dead_members(sources, callers) == []
 
 
 def modules_loaded(code: str, cwd: Path, prefix: str) -> list[str]:

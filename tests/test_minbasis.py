@@ -33,6 +33,7 @@ from .oracles import (
     horton_candidates,
     horton_pool,
     make_residue_fn,
+    reference_selection,
     representatives,
     total_length,
 )
@@ -391,12 +392,21 @@ class TestGreedyContract:
 
 
 @st.composite
-def graph_and_mu(draw):
+def graph_and_mu(draw, dense=False):
     """Graphs with tied and zero weights or with rational weights, and
-    half of them with rational mu weights, zero included."""
+    half of them with rational mu weights, zero included. Dense graphs
+    hold at least half of the vertex pairs, so that ties across classes
+    (pathology events) come up; sparse draws almost never have one."""
     n = draw(st.integers(min_value=2, max_value=8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    chosen = draw(
+        st.lists(
+            st.sampled_from(pairs),
+            unique=True,
+            min_size=len(pairs) // 2 if dense else 0,
+            max_size=len(pairs),
+        )
+    )
     weight = draw(
         st.sampled_from([
             st.sampled_from([0, Fraction(1, 2), 1, 2]),
@@ -439,6 +449,27 @@ def mu_of(cx, mu):
     ]
 
 
+class TestSelection:
+    @given(graph_and_mu(dense=True))
+    @settings(max_examples=300, deadline=None)
+    def test_selection_matches_two_pass_reference_at_every_active_step(self, case):
+        g, mu = case
+        f = build_filtration(g)
+        barcode = compute_persistence(f)
+        for eps, mb in step_bases(f, barcode, mu):
+            view = barcode.complex.at(eps)
+            beta1, sets, events = reference_selection(view, mu_of(view, mu))
+            assert mb.beta1 == beta1
+            assert [
+                (vs.length_mu, tuple(c.edges for c in vs.cycles))
+                for vs in mb.variant_sets
+            ] == sets
+            assert [
+                (ev.level, ev.n_classes, ev.rank_increment)
+                for ev in mb.pathology_events
+            ] == events
+
+
 class TestHortonSweep:
     @given(graph_and_mu())
     @settings(max_examples=120, deadline=None)
@@ -458,9 +489,10 @@ class TestHortonSweep:
             sweep = HortonSweep(cx.at(steps[-1]), mu)
             for eps in steps:
                 view = cx.at(eps)
+                sweep._take(view)
                 got = {
                     m: Fraction(l, sweep.denom)
-                    for m, l in sweep.advance(view).items()
+                    for m, l in sweep._pool(view).items()
                 }
                 assert got == horton_pool(view, mu_of(view, mu))
 
@@ -483,10 +515,10 @@ class TestHortonSweep:
                     beta1,
                     {view.edge_ids[p]: oracle(1 << p) for p in range(view.n_edges)},
                 )
-                # advancing the same view again changes nothing
+                # taking the same view again changes nothing
                 for _ in range(2):
-                    pool = sweep.advance(view)
                     assert sweep._take(view) == beta1
+                    pool = sweep._pool(view)
                     # sweep class -> oracle class must be a bijection
                     # that keeps 0, over the pool and the fundamental cycles
                     seen: dict[int, int] = {}
@@ -505,7 +537,8 @@ class TestHortonSweep:
         for eps in build_filtration(g).steps:
             view = cx.at(eps)
             before = list(sweep._trees)
-            got = {m: Fraction(l, sweep.denom) for m, l in sweep.advance(view).items()}
+            sweep._take(view)
+            got = {m: Fraction(l, sweep.denom) for m, l in sweep._pool(view).items()}
             assert got == horton_pool(view, mu_of(view, None))
             for root, tree in enumerate(sweep._trees):
                 if before[root] is None:
@@ -551,19 +584,23 @@ class TestHortonSweep:
     ):
         cx = full_complex(theta_graph)
         sweep = HortonSweep(cx)
-        sweep.advance(cx.at(Fraction(3, 2)))
+        sweep._take(cx.at(Fraction(3, 2)))
         with pytest.raises(ValueError, match="does not extend"):
-            sweep.advance(cx.at(Fraction(1)))
+            sweep._take(cx.at(Fraction(1)))
         with pytest.raises(ValueError, match="not a view of the sweep's graph"):
-            sweep.advance(full_complex(unit_square))
+            sweep._take(full_complex(unit_square))
         # a failed call leaves the sweep where it was
-        assert sweep.advance(cx) == sweep.advance(cx)
+        pools = []
+        for _ in range(2):
+            sweep._take(cx)
+            pools.append(sweep._pool(cx))
+        assert pools[0] == pools[1]
 
     def test_view_past_the_horizon_raises(self, theta_graph):
         cx = full_complex(theta_graph)
         sweep = HortonSweep(cx.at(Fraction(1)))
         with pytest.raises(ValueError, match="past the horizon"):
-            sweep.advance(cx)
+            sweep._take(cx)
 
     def test_sweep_for_other_mu_weights_is_rejected(self, theta_graph):
         cx = full_complex(theta_graph)

@@ -25,7 +25,7 @@ class TestUnitSquare:
         assert len(bars) == 1
         assert bars[0].birth == Fraction(1)
         assert bars[0].death == SQRT2
-        assert bars[0].persistence == SQRT2 - 1
+        assert bars[0].death - bars[0].birth == SQRT2 - 1
 
     def test_dim1_generator_is_the_unit_cycle(self, unit_square):
         bars = compute_persistence(build_filtration(unit_square)).in_dim(1)
@@ -65,7 +65,6 @@ class TestEssentialBars:
         assert len(bars) == 1
         assert bars[0].birth == Fraction(1)
         assert bars[0].death is None
-        assert bars[0].persistence is None
         assert bars[0].generator.edges == (0, 1, 2, 3)
 
     def test_include_essential_flag(self):
