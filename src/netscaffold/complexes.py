@@ -19,6 +19,20 @@ Kruskal runs in position order, so a prefix's forest is a prefix of
 the forest; the forest path between two vertices never changes once
 both are in it; and reducing a prefix of the columns gives a prefix of
 the full reduction.
+
+Triangles are found in filtration order. A triangle enters with its
+last edge: walking the edge positions once with neighbor bitsets over
+the edges already seen, edge (u, v) closes one triangle per common
+neighbor of u and v. Only the triangles of one rank are then sorted,
+by vertex triple. Each column is reduced as soon as it is found, under
+a pivot bound: ``first`` is the smallest non-tree position that is no
+column's pivot yet. Any sum of boundary columns is a cycle, and a
+cycle's last edge closes it over earlier edges, so it is a non-tree
+position. A column whose pivot falls below ``first`` can therefore
+only reduce to zero; it is stored as 0 without finishing, and a
+triangle whose last edge already lies below ``first`` is never turned
+into a column at all. On dense graphs almost every column is one of
+these.
 """
 
 from __future__ import annotations
@@ -47,7 +61,10 @@ class FlagComplex2:
     (position order). ``cycles[p]`` is the fundamental cycle of
     non-tree position p, as a bitset of positions, and 0 for a tree
     position. ``reduced[t]`` is the boundary of triangle t over edge
-    positions after left-to-right column reduction.
+    positions after left-to-right column reduction, exactly as a plain
+    reduction leaves it: a nonzero column's pivot is the edge whose
+    class triangle t kills, and a column that reduces to zero is 0,
+    whether or not it was ever built (see the module docstring).
     """
 
     epsilon: Fraction
@@ -114,24 +131,6 @@ class FlagComplex2:
         )
 
 
-def _column_reduce(cols: list[int]) -> list[int]:
-    """Left-to-right Z2 column reduction of bitset columns, in place.
-
-    Adds an earlier column into a later one whenever both share the same
-    pivot, the highest set bit, until the nonzero pivots are distinct.
-    """
-    pivot_owner: dict[int, int] = {}
-    for j in range(len(cols)):
-        while cols[j]:
-            piv = cols[j].bit_length() - 1
-            owner = pivot_owner.get(piv)
-            if owner is None:
-                pivot_owner[piv] = j
-                break
-            cols[j] ^= cols[owner]
-    return cols
-
-
 def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
     """2-truncated flag complex at threshold epsilon (edges with w <= epsilon)."""
     weights = tuple(sorted({w for _, _, w in g.edges if w <= epsilon}))
@@ -139,25 +138,8 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
     edges = sorted(
         (rank[w], u, v, i) for i, (u, v, w) in enumerate(g.edges) if w <= epsilon
     )
+    m = len(edges)
     pos = {(u, v): p for p, (_, u, v, _) in enumerate(edges)}
-
-    adj: list[set[int]] = [set() for _ in range(g.n_vertices)]
-    for _, u, v, _ in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    # common neighbors above v: each triangle found exactly once, u<v<t;
-    # positions ascend with rank, so the last edge gives the rank
-    tris = []
-    for (u, v), p_uv in pos.items():
-        for t in adj[u] & adj[v]:
-            if t > v:
-                p_ut, p_vt = pos[(u, t)], pos[(v, t)]
-                tris.append((
-                    edges[max(p_uv, p_ut, p_vt)][0],
-                    (u, v, t),
-                    (1 << p_uv) | (1 << p_ut) | (1 << p_vt),
-                ))
-    tris.sort()
 
     # Kruskal in position order, then root-to-vertex path masks in the
     # forest: a non-tree edge closes the cycle of the two paths
@@ -170,7 +152,7 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
         return x
 
     tree = 0
-    in_tree = [False] * len(edges)
+    in_tree = [False] * m
     forest: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
     for p, (_, u, v, _) in enumerate(edges):
         ru, rv = find(u), find(v)
@@ -195,18 +177,62 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
                     path[y] = path[x] | (1 << p)
                     stack.append(y)
 
+    # triangles rank by rank, each closed by its last edge, and their
+    # columns reduced as they come under the pivot bound (module docstring)
+    nbr = [0] * g.n_vertices  # neighbor bitsets over the edges seen
+    owned: dict[int, int] = {}  # pivot position -> its reduced column
+    first = next((p for p, t in enumerate(in_tree) if not t), m)
+    triangles: list[tuple[int, int, int]] = []
+    triangle_ranks: list[int] = []
+    reduced: list[int] = []
+    p = 0
+    while p < m:
+        r = edges[p][0]
+        closing = []  # (vertex triple, its last edge) of rank r
+        while p < m and edges[p][0] == r:
+            _, u, v, _ = edges[p]
+            common = nbr[u] & nbr[v]
+            while common:
+                t = (common & -common).bit_length() - 1
+                common ^= 1 << t
+                closing.append(
+                    ((t, u, v) if t < u else (u, t, v) if t < v else (u, v, t), p)
+                )
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+            p += 1
+        closing.sort()
+        for tri, low in closing:
+            triangles.append(tri)
+            triangle_ranks.append(r)
+            col = 0
+            if low >= first:
+                a, b, c = tri
+                col = (1 << pos[(a, b)]) | (1 << pos[(a, c)]) | (1 << pos[(b, c)])
+                while low >= first and low in owned:
+                    col ^= owned[low]
+                    low = col.bit_length() - 1
+                if low < first:
+                    col = 0
+                else:
+                    owned[low] = col
+                    # moves only once the position it names is a pivot
+                    while first < m and (in_tree[first] or first in owned):
+                        first += 1
+            reduced.append(col)
+
     return FlagComplex2(
         epsilon=epsilon,
         graph=g,
         weights=weights,
         edge_ids=tuple(e[3] for e in edges),
         edge_ranks=tuple(e[0] for e in edges),
-        triangles=tuple(t[1] for t in tris),
-        triangle_ranks=tuple(t[0] for t in tris),
+        triangles=tuple(triangles),
+        triangle_ranks=tuple(triangle_ranks),
         tree=tree,
         cycles=tuple(
             0 if in_tree[p] else path[u] ^ path[v] ^ (1 << p)
             for p, (_, u, v, _) in enumerate(edges)
         ),
-        reduced=tuple(_column_reduce([t[2] for t in tris])),
+        reduced=tuple(reduced),
     )

@@ -266,7 +266,8 @@ class Filtration:
     steps: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if list(self.steps) != sorted(set(self.steps)):
+        steps = self.steps
+        if not all(a < b for a, b in zip(steps, steps[1:])):
             raise GraphFormatError("filtration steps must be strictly increasing")
 
 

@@ -7,8 +7,11 @@ reduction with highest-bit pivots, exhaustive cycle-space
 enumeration instead of candidate generation, one fresh Horton
 search and one back-eliminated boundary reduction per complex instead
 of a sweep along the filtration, and a basis selection that converts
-every candidate and tests independence by rank. Slow on purpose; only
-run on small inputs.
+every candidate and tests independence by rank. ``reference_reduced``
+does use highest-bit pivots, because the left-to-right reduction is
+what it pins down: it rebuilds the boundary columns by scanning the
+edges and reduces every column to the end, with no pivot bound. Slow
+on purpose; only run on small inputs.
 
 The exceptions are the adapters at the end, which only reshape what
 the package returns: the Horton pool of one complex as sorted
@@ -118,6 +121,24 @@ def boundary_columns(cx, k: int) -> list[int]:
             for a, b, c in cx.triangles
         ]
     raise ValueError(f"boundary degree must be 1 or 2, got {k}")
+
+
+def reference_reduced(cx) -> tuple[int, ...]:
+    """Plain left-to-right Z2 reduction of a complex's triangle boundary
+    columns, rebuilt from its triangles: while column j shares its
+    highest set bit with an earlier column, that column is added, down
+    to zero or a pivot of its own. No early exit and no skipped column,
+    so it is what ``FlagComplex2.reduced`` must equal exactly."""
+    cols = boundary_columns(cx, 2)
+    owner: dict[int, int] = {}
+    for j in range(len(cols)):
+        while cols[j]:
+            piv = cols[j].bit_length() - 1
+            if piv not in owner:
+                owner[piv] = j
+                break
+            cols[j] ^= cols[owner[piv]]
+    return tuple(cols)
 
 
 def _bfs_tree(n: int, pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:

@@ -1,5 +1,6 @@
 """Flag complex construction against brute-force triangle enumeration."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from .oracles import (
     edge_position,
     flag_triangles,
     gf2_rank_lowbit,
+    reference_reduced,
 )
 
 
@@ -191,6 +193,7 @@ class TestForestAndReduction:
                 assert boundary == 0
 
             d2 = boundary_columns(cx, 2)
+            assert cx.reduced == reference_reduced(cx)
             assert len(cx.reduced) == cx.n_triangles
             nonzero = [c for c in cx.reduced if c]
             lows = [c.bit_length() - 1 for c in nonzero]
@@ -202,6 +205,36 @@ class TestForestAndReduction:
                 assert gf2_rank_lowbit(d2[:t] + [col ^ d2[t]]) == gf2_rank_lowbit(
                     d2[:t]
                 )
+
+
+def complete_graph(n, kind):
+    """K_n with distinct weights, ties among 1..3, or ties with zeros."""
+    rnd = random.Random(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if kind == "distinct":
+        ws = rnd.sample(range(1, len(pairs) + 1), len(pairs))
+    elif kind == "tied":
+        ws = [rnd.randint(1, 3) for _ in pairs]
+    else:
+        ws = [rnd.choice([0, 0, 1, 2]) for _ in pairs]
+    return make_graph(n, [(u, v, w) for (u, v), w in zip(pairs, ws)])
+
+
+@pytest.mark.parametrize("kind", ["distinct", "tied", "zero"])
+@pytest.mark.parametrize("n", range(6, 13))
+def test_reduction_matches_plain_reduction_on_complete_graphs(n, kind):
+    # nearly every column of a complete graph reduces to zero, most of
+    # them on the pivot bound before their reduction ends
+    g = complete_graph(n, kind)
+    f = build_filtration(g)
+    full = flag_complex_at(g, f.steps[-1])
+    for eps in f.steps:
+        view = full.at(eps)
+        assert view.reduced == reference_reduced(view)
+    # a full simplex has no 1-cycle left: each non-tree edge is a pivot
+    m = n * (n - 1) // 2
+    assert sum(1 for c in full.reduced if c) == m - (n - 1)
+    assert full.n_triangles == n * (n - 1) * (n - 2) // 6
 
 
 @st.composite

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from netscaffold.graph import (
     MAX_VERTICES,
+    Filtration,
     GraphFormatError,
     WeightedGraph,
     as_weight,
@@ -224,6 +225,24 @@ class TestFiltration:
     def test_empty_graph_degenerate_single_step(self):
         g = make_graph(3, [])
         assert build_filtration(g).steps == (Fraction(0),)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [(Fraction(2), Fraction(1)), (Fraction(0), Fraction(3), Fraction(1))],
+    )
+    def test_unsorted_steps_rejected(self, steps):
+        g = make_graph(3, [(0, 1, 1), (1, 2, 2)])
+        with pytest.raises(GraphFormatError, match="strictly increasing"):
+            Filtration(source=g, steps=steps)
+
+    @pytest.mark.parametrize(
+        "steps",
+        [(Fraction(1), Fraction(1)), (Fraction(1), Fraction(2), Fraction(2))],
+    )
+    def test_duplicate_steps_rejected(self, steps):
+        g = make_graph(3, [(0, 1, 1), (1, 2, 2)])
+        with pytest.raises(GraphFormatError, match="strictly increasing"):
+            Filtration(source=g, steps=steps)
 
 
 class TestRelabel:

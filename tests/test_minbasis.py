@@ -470,63 +470,80 @@ class TestSelection:
             ] == events
 
 
+def assert_sweep_matches_fresh_search(g, mu):
+    f = build_filtration(g)
+    barcode = compute_persistence(f)
+    cx = barcode.complex
+    active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
+    assert step_bases(f, barcode, mu) == [
+        (eps, min_basis_with_draws(cx.at(eps), mu)) for eps in active
+    ]
+    # over the active steps, as step_bases sweeps, and over every step
+    for steps in (active, f.steps):
+        if not steps:
+            continue
+        sweep = HortonSweep(cx.at(steps[-1]), mu)
+        for eps in steps:
+            view = cx.at(eps)
+            sweep._take(view)
+            got = {
+                m: Fraction(l, sweep.denom)
+                for m, l in sweep._pool(view).items()
+            }
+            assert got == horton_pool(view, mu_of(view, mu))
+
+
+def assert_classes_match_back_elimination(g, mu):
+    f = build_filtration(g)
+    barcode = compute_persistence(f)
+    cx = barcode.complex
+    active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
+    for steps in (active, f.steps):
+        if not steps:
+            continue
+        sweep = HortonSweep(cx.at(steps[-1]), mu)
+        for eps in steps:
+            view = cx.at(eps)
+            beta1, oracle = back_eliminated_classes(view)
+            assert annotate_edges(view) == (
+                beta1,
+                {view.edge_ids[p]: oracle(1 << p) for p in range(view.n_edges)},
+            )
+            # taking the same view again changes nothing
+            for _ in range(2):
+                assert sweep._take(view) == beta1
+                pool = sweep._pool(view)
+                # sweep class -> oracle class must be a bijection
+                # that keeps 0, over the pool and the fundamental cycles
+                seen: dict[int, int] = {}
+                for mask in [*pool, *(m for m in view.cycles if m)]:
+                    got, want = sweep.class_of(mask), oracle(mask)
+                    assert (got == 0) == (want == 0)
+                    assert seen.setdefault(got, want) == want
+                assert len(set(seen.values())) == len(seen)
+
+
 class TestHortonSweep:
     @given(graph_and_mu())
     @settings(max_examples=120, deadline=None)
     def test_sweep_matches_fresh_search_at_every_active_step(self, case):
-        g, mu = case
-        f = build_filtration(g)
-        barcode = compute_persistence(f)
-        cx = barcode.complex
-        active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
-        assert step_bases(f, barcode, mu) == [
-            (eps, min_basis_with_draws(cx.at(eps), mu)) for eps in active
-        ]
-        # over the active steps, as step_bases sweeps, and over every step
-        for steps in (active, f.steps):
-            if not steps:
-                continue
-            sweep = HortonSweep(cx.at(steps[-1]), mu)
-            for eps in steps:
-                view = cx.at(eps)
-                sweep._take(view)
-                got = {
-                    m: Fraction(l, sweep.denom)
-                    for m, l in sweep._pool(view).items()
-                }
-                assert got == horton_pool(view, mu_of(view, mu))
+        assert_sweep_matches_fresh_search(*case)
+
+    @given(graph_and_mu(dense=True))
+    @settings(max_examples=120, deadline=None)
+    def test_sweep_matches_fresh_search_on_dense_draws(self, case):
+        # dense draws reduce mostly to zero columns and tie across classes
+        assert_sweep_matches_fresh_search(*case)
 
     @given(graph_and_mu())
     @settings(max_examples=120, deadline=None)
     def test_classes_match_back_elimination_at_every_step(self, case):
-        g, mu = case
-        f = build_filtration(g)
-        barcode = compute_persistence(f)
-        cx = barcode.complex
-        active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
-        for steps in (active, f.steps):
-            if not steps:
-                continue
-            sweep = HortonSweep(cx.at(steps[-1]), mu)
-            for eps in steps:
-                view = cx.at(eps)
-                beta1, oracle = back_eliminated_classes(view)
-                assert annotate_edges(view) == (
-                    beta1,
-                    {view.edge_ids[p]: oracle(1 << p) for p in range(view.n_edges)},
-                )
-                # taking the same view again changes nothing
-                for _ in range(2):
-                    assert sweep._take(view) == beta1
-                    pool = sweep._pool(view)
-                    # sweep class -> oracle class must be a bijection
-                    # that keeps 0, over the pool and the fundamental cycles
-                    seen: dict[int, int] = {}
-                    for mask in [*pool, *(m for m in view.cycles if m)]:
-                        got, want = sweep.class_of(mask), oracle(mask)
-                        assert (got == 0) == (want == 0)
-                        assert seen.setdefault(got, want) == want
-                    assert len(set(seen.values())) == len(seen)
+        assert_classes_match_back_elimination(*case)
+
+    @given(graph_and_mu(dense=True))
+    @settings(max_examples=120, deadline=None)
+    def test_classes_match_back_elimination_on_dense_draws(self, case):
+        assert_classes_match_back_elimination(*case)
 
     def test_kept_roots_store_their_cycles(self):
         g = moving_trees_graph()
