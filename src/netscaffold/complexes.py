@@ -41,7 +41,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, sorted_weights
 
 __all__ = ["FlagComplex2", "flag_complex_at"]
 
@@ -133,7 +133,7 @@ class FlagComplex2:
 
 def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
     """2-truncated flag complex at threshold epsilon (edges with w <= epsilon)."""
-    weights = tuple(sorted({w for _, _, w in g.edges if w <= epsilon}))
+    weights = sorted_weights(w for _, _, w in g.edges if w <= epsilon)
     rank = {w: r for r, w in enumerate(weights)}
     edges = sorted(
         (rank[w], u, v, i) for i, (u, v, w) in enumerate(g.edges) if w <= epsilon

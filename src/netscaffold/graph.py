@@ -9,6 +9,7 @@ an epsilon.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,6 +27,7 @@ __all__ = [
     "serialize_edge_list",
     "orient_filtration",
     "build_filtration",
+    "sorted_weights",
     "relabel",
 ]
 
@@ -271,6 +273,21 @@ class Filtration:
             raise GraphFormatError("filtration steps must be strictly increasing")
 
 
+def _weight_key(w: Fraction) -> tuple[float, Fraction]:
+    # Fraction -> float is correctly rounded, hence monotone, so the
+    # exact compare runs only between weights that round to one float
+    try:
+        return (float(w), w)
+    except OverflowError:  # a directly built graph may hold any rational
+        return (math.inf, w)
+
+
+def sorted_weights(weights: Iterable[Fraction]) -> tuple[Fraction, ...]:
+    """The distinct weights, ascending, ordered exactly but compared as
+    floats wherever the floats differ."""
+    return tuple(sorted(set(weights), key=_weight_key))
+
+
 def build_filtration(g: WeightedGraph) -> Filtration:
     """Extract the filtration: sorted distinct weights as steps.
 
@@ -279,7 +296,7 @@ def build_filtration(g: WeightedGraph) -> Filtration:
     """
     if not g.edges:
         return Filtration(source=g, steps=(Fraction(0),))
-    return Filtration(source=g, steps=tuple(sorted({w for _, _, w in g.edges})))
+    return Filtration(source=g, steps=sorted_weights(w for _, _, w in g.edges))
 
 
 def orient_filtration(g: WeightedGraph, direction: str) -> WeightedGraph:

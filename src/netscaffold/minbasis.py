@@ -16,13 +16,16 @@ pass and are flagged as pathological, but never abort the run.
 
 Along a filtration the candidates and classes come from one
 ``HortonSweep`` over ascending prefix views of the full complex. It
-scales the mu lengths once, recomputes a root's shortest-path tree
-only when a new edge can change it, and otherwise keeps that root's
-cycles. It reduces each triangle boundary once, into classes whose
-coordinates are the non-tree edge positions, and remembers the cycles
-already found to be boundaries. The pool at every step is exactly the
-Horton pool of that step's complex, so the basis is the same as from a
-fresh search.
+scales the mu lengths once and keeps a pool index from step to step:
+the number of sources of each candidate cycle, and the cycles not
+known to be boundaries grouped by length. It recomputes a root's
+shortest-path tree only when a new edge can change it, and then tests
+again only the edges at a vertex whose tree path changed. It reduces
+each triangle boundary once, into classes whose coordinates are the
+non-tree edge positions, and retires the cycles found to be
+boundaries. The index at every step holds exactly the Horton pool of
+that step's complex plus its fundamental cycles, so the basis is the
+same as from a fresh search.
 
 Draw sets are draws within the Horton candidate pool; a tied
 representative that is not of shortest-path form is invisible here.
@@ -33,6 +36,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -149,45 +153,45 @@ def _sp_tree(
 
     Weights are pre-scaled integers. Returns (dist, pred, branch,
     pathmask). pred[u] is the smallest-id already-settled neighbor on a
-    shortest path, which stays acyclic even with zero-weight edges.
-    branch[u] is the child of root whose subtree holds u (root for
-    itself), so the tree paths to two vertices meet only at root exactly
-    when their branches differ. pathmask[u] is the bitset of tree edge
-    positions on the root-to-u path.
+    shortest path, which stays acyclic even with zero-weight edges: a
+    settled vertex relaxes its unsettled neighbors only, and a tie with
+    the current distance moves pred to the smaller id. branch[u] is the
+    child of root whose subtree holds u (root for itself), so the tree
+    paths to two vertices meet only at root exactly when their branches
+    differ. pathmask[u] is the bitset of tree edge positions on the
+    root-to-u path. All four are set as u is settled, in one pass.
     """
     dist: list[int | None] = [None] * n
     dist[root] = 0
+    pred = [-1] * n
+    pred_pos = [-1] * n
+    branch = [-1] * n
+    branch[root] = root
+    pathmask = [0] * n
     settled = [False] * n
-    order: list[int] = []
     heap: list[tuple[int, int]] = [(0, root)]
     while heap:
         d, u = heapq.heappop(heap)
         if settled[u]:
             continue
         settled[u] = True
-        order.append(u)
-        for v, w, _pos in adj[u]:
-            nd = d + w
-            if dist[v] is None or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-
-    pred = [-1] * n
-    branch = [-1] * n
-    branch[root] = root
-    pathmask = [0] * n
-    done = [False] * n
-    for u in order:
         if u != root:
-            best = best_pos = -1
-            for v, w, pos in adj[u]:
-                if done[v] and dist[v] + w == dist[u] and (best == -1 or v < best):
-                    best, best_pos = v, pos
-            # a settled witness always exists: the relaxer settled first
-            pred[u] = best
-            branch[u] = u if best == root else branch[best]
-            pathmask[u] = pathmask[best] | (1 << best_pos)
-        done[u] = True
+            p = pred[u]
+            branch[u] = u if p == root else branch[p]
+            pathmask[u] = pathmask[p] | (1 << pred_pos[u])
+        for v, w, pos in adj[u]:
+            if settled[v]:
+                continue
+            nd = d + w
+            dv = dist[v]
+            if dv is None or nd < dv:
+                dist[v] = nd
+                pred[v] = u
+                pred_pos[v] = pos
+                heapq.heappush(heap, (nd, v))
+            elif nd == dv and u < pred[v]:
+                pred[v] = u
+                pred_pos[v] = pos
     return dist, pred, branch, pathmask
 
 
@@ -207,6 +211,19 @@ def _moves(dist: list[int | None], a: int, b: int, w: int) -> bool:
     return da + w <= db or db + w <= da
 
 
+def _hits(
+    tree: tuple, edges: Iterable[int], ends: list[tuple[int, int]], imu: list[int]
+) -> Iterator[tuple[int, int]]:
+    """(cycle, scaled length) of each Horton hit of a root's tree among
+    edge positions: both ends in root's component (branch -1 off it), a
+    non-tree edge, and tree paths that meet only at root."""
+    dist, pred, branch, pathmask = tree
+    for p in edges:
+        a, b = ends[p]
+        if branch[a] != branch[b] and pred[a] != b and pred[b] != a:
+            yield pathmask[a] ^ pathmask[b] ^ (1 << p), dist[a] + dist[b] + imu[p]
+
+
 def _length(mask: int, imu: list[int]) -> int:
     length = 0
     while mask:
@@ -222,20 +239,31 @@ class HortonSweep:
 
     A sweep is built for the largest view it will see, its horizon: the
     mu weights of the horizon's edges are checked and scaled to integers
-    once. ``_take`` absorbs a view that extends the previous one, and
-    ``_pool`` then returns that view's Horton pool (mask -> scaled
-    mu-length; divide by ``denom`` for the exact length). For root v and
-    edge (a,b) the pool holds the tree paths v->a, v->b plus the edge,
-    when the edge is not a tree edge and the paths meet only at v.
+    once. ``_take`` absorbs the triangle boundaries of a view that
+    extends the previous one, and ``_grow`` brings the pool index up to
+    that view. For root v and edge (a,b) the Horton pool holds the tree
+    paths v->a, v->b plus the edge, when the edge is not a tree edge and
+    the paths meet only at v; each such (root, edge) hit is a source of
+    its cycle, and so is each fundamental cycle of the view's forest.
+
+    The pool index is kept from step to step. ``_count`` maps each cycle
+    (a bitset of edge positions) to its number of sources, and
+    ``_levels`` maps a scaled mu-length (divide by ``denom`` for the
+    exact length) to the cycles of that length that have a source and
+    are not retired. A cycle enters its level when its count goes from
+    0 to 1, and leaves when the count drops to 0 or when the selection
+    retires it. The index size is the number of distinct cycles with a
+    source, fundamental cycles included.
 
     The adjacency grows by the view's new edges. A root's shortest-path
     tree is recomputed only when one of them can change it (``_moves``);
-    otherwise the root's earlier cycles stand and only the new edges are
-    tested. From the first step its tree survives, a root keeps its
-    cycles (mask -> scaled length) and merges them into each later pool
-    whole; a recompute drops them. A root recomputed at every step, the
-    common case on tied weights, stores nothing. So every pool equals
-    the one a fresh search of the view would find.
+    a kept tree tests only the new edges. The hit of a root and an edge
+    (a,b), its cycle and its length read only the tree paths to a and
+    b, so after a recompute only the edges at a vertex whose path
+    changed, and the new edges, are tested again: each old hit, read
+    off the old tree, loses a source and each new hit gains one. A
+    fresh sweep has no old tree, and every edge is new. So the index
+    always holds exactly the sources of a fresh search of the view.
 
     Classes live in the coordinates of the horizon's non-tree positions,
     which never change along the sweep. The sweep keeps every boundary
@@ -245,8 +273,9 @@ class HortonSweep:
     columns. ``class_of`` is then canonical per class, and zero exactly
     for boundaries of the last view.
 
-    ``retired`` collects masks found to be boundaries. A later view only
-    adds triangles, so they stay boundaries and need no class.
+    ``retired`` collects cycles found to be boundaries. A later view
+    only adds triangles, so they stay boundaries and never enter a
+    level again.
     """
 
     def __init__(
@@ -255,7 +284,6 @@ class HortonSweep:
         self.horizon = horizon
         self.mu_weights = mu_weights
         self.imu, self.denom = _scale_mu(_mu_by_pos(horizon, mu_weights))
-        self.cycle_lengths: list[int] = []  # of each seen position's cx.cycles
         self.retired: set[int] = set()
         self.epsilon: Fraction | None = None  # of the last view
         n = horizon.n_vertices
@@ -263,13 +291,15 @@ class HortonSweep:
         self._cols: dict[int, int] = {}  # pivot position -> boundary column
         self._pivots = 0  # bitset of the pivot positions
         self._n_triangles = 0  # boundary columns absorbed so far
+        self._n_edges = 0  # edge positions in the adjacency so far
         self._ends = [horizon.edge_vertices(p) for p in range(horizon.n_edges)]
         self._adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
         self._trees: list[tuple | None] = [None] * n
-        self._hits: list[list[int]] = [[] for _ in range(n)]  # since recompute
-        self._cycles: list[dict[int, int] | None] = [None] * n  # of kept trees
+        self._count: dict[int, int] = {}  # cycle -> number of sources
+        self._levels: dict[int, set[int]] = {}  # scaled length -> cycles
         # for the summary log
-        self.steps = self.recomputed = self.reused = self.largest_pool = 0
+        self.steps = self.recomputed = self.largest_index = 0
+        self.retested = self.rescan = 0  # edges tested on recompute, all edges
 
     def _take(self, cx: FlagComplex2) -> int:
         """Check that cx extends the last view, absorb its new triangle
@@ -315,71 +345,83 @@ class HortonSweep:
             bits ^= lsb
         return x
 
-    def _pool(self, cx: FlagComplex2) -> dict[int, int]:
+    def _add(self, mask: int, length: int) -> None:
+        count = self._count
+        c = count.get(mask, 0)
+        count[mask] = c + 1
+        if not c and mask not in self.retired:
+            level = self._levels.get(length)
+            if level is None:
+                self._levels[length] = {mask}
+            else:
+                level.add(mask)
+
+    def _drop(self, mask: int, length: int) -> None:
+        count = self._count
+        c = count[mask] - 1
+        if c:
+            count[mask] = c
+            return
+        del count[mask]
+        level = self._levels.get(length)
+        if level is not None and mask in level:
+            level.remove(mask)
+            if not level:
+                del self._levels[length]
+
+    def _grow(self, cx: FlagComplex2) -> None:
+        """Bring the pool index up to cx, a view ``_take`` has absorbed."""
         imu, ends, adj = self.imu, self._ends, self._adj
-        new = range(len(self.cycle_lengths), cx.n_edges)
+        n_old = self._n_edges
+        new = range(n_old, cx.n_edges)
         for p in new:
             a, b = ends[p]
             adj[a].append((b, imu[p], p))
             adj[b].append((a, imu[p], p))
-            self.cycle_lengths.append(_length(cx.cycles[p], imu))
+            if cx.cycles[p]:  # tree positions carry 0
+                self._add(cx.cycles[p], _length(cx.cycles[p], imu))
+        self._n_edges = cx.n_edges
 
         n = len(adj)
-        found: dict[int, int] = {}
+        add, drop = self._add, self._drop
         for root in range(n):
-            tree = self._trees[root]
-            kept = tree is not None and not any(
-                _moves(tree[0], *ends[p], imu[p]) for p in new
-            )
-            if kept:
-                scan = new
-            else:
+            tree = old = self._trees[root]
+            scan = new
+            if old is None or any(_moves(old[0], *ends[p], imu[p]) for p in new):
                 tree = self._trees[root] = _sp_tree(adj, n, root)
-                self._cycles[root] = None
+                if old is not None:
+                    was, now = old[3], tree[3]
+                    touched = set(new)
+                    for v in range(n):
+                        if was[v] != now[v]:
+                            touched.update(p for _, _, p in adj[v])
+                    scan = touched
                 self.recomputed += 1
-                scan = range(cx.n_edges)
-            dist, pred, branch, pathmask = tree
-            hits = []
-            for p in scan:
-                a, b = ends[p]
-                if (
-                    dist[a] is not None
-                    and dist[b] is not None
-                    and pred[a] != b
-                    and pred[b] != a  # not a tree edge of this root
-                    and branch[a] != branch[b]
-                ):
-                    hits.append(p)
-            if not kept:
-                self._hits[root] = hits
-                out = found
-            elif self._cycles[root] is None:  # first step the tree survives
-                out = self._cycles[root] = {}
-                hits = self._hits[root] + hits
-                self._hits[root] = []
-            else:
-                out = self._cycles[root]
-                self.reused += 1
-            for p in hits:
-                a, b = ends[p]
-                out[pathmask[a] ^ pathmask[b] ^ (1 << p)] = dist[a] + dist[b] + imu[p]
-            if out is not found:
-                found.update(out)
+                self.retested += len(scan)
+                self.rescan += cx.n_edges
+            # gains before losses, so a cycle that keeps a source never
+            # leaves its level
+            for mask, length in _hits(tree, scan, ends, imu):
+                add(mask, length)
+            if old is not None and tree is not old:
+                gone = [p for p in scan if p < n_old]
+                for mask, length in _hits(old, gone, ends, imu):
+                    drop(mask, length)
         self.steps += 1
-        self.largest_pool = max(self.largest_pool, len(found))
-        return found
+        self.largest_index = max(self.largest_index, len(self._count))
 
     def log_summary(self) -> None:
         """Log at INFO what the sweep did so far."""
         logger.info(
-            "Horton sweep: %d steps, %d of %d trees recomputed, %d roots "
-            "reused, %d boundaries absorbed, largest pool %d",
+            "Horton sweep: %d steps, %d of %d trees recomputed, %d of %d "
+            "edges re-tested, %d boundaries absorbed, largest index %d",
             self.steps,
             self.recomputed,
             self.steps * len(self._trees),
-            self.reused,
+            self.retested,
+            self.rescan,
             len(self._cols),
-            self.largest_pool,
+            self.largest_index,
         )
 
 
@@ -432,12 +474,14 @@ def min_basis_with_draws(
 ) -> MinimalBasisWithDraws:
     """Minimum-length homology basis with tied-representative sets.
 
-    The candidates are the Horton pool of cx from ``sweep`` (a fresh
-    one-step sweep when None; a given sweep must carry the same
-    mu_weights object) plus the fundamental cycles of cx's forest. One
-    greedy pass over them in (length, edge ids) order, one length level
-    at a time, keeps a candidate when its class is independent of the
-    classes kept so far. Each level is grouped by class first. A class
+    The candidates are the Horton pool of cx plus the fundamental cycles
+    of cx's forest, which span every class. They are read from the pool
+    index of ``sweep`` (a fresh one-step sweep when None; a given sweep
+    must carry the same mu_weights object), by length level, leaving out
+    cycles retired as boundaries. One greedy pass over them in (length,
+    edge ids) order, one length level at a time, keeps a candidate when
+    its class is independent of the classes kept so far. Each level is
+    grouped by class first, and a boundary met there is retired. A class
     spanned at the level's start can keep nothing, so only the others
     are converted to edge ids and tried, in order of their smallest
     member; each reduces once against the span at the level's start and
@@ -454,15 +498,8 @@ def min_basis_with_draws(
     elif sweep.mu_weights is not mu_weights:
         raise ValueError("sweep was built for other mu weights")
     beta1 = sweep._take(cx)
-    found = sweep._pool(cx)
-    # the fundamental cycles span every class, so the pool always does
-    for mask, length in zip(cx.cycles, sweep.cycle_lengths):
-        if mask:  # tree positions carry 0
-            found.setdefault(mask, length)
-    levels: dict[int, list[int]] = {}
-    for mask, length in found.items():
-        if mask not in sweep.retired:
-            levels.setdefault(length, []).append(mask)
+    sweep._grow(cx)
+    levels = sweep._levels
 
     span: dict[int, int] = {}
     kept: list[VariantSet] = []
@@ -472,12 +509,18 @@ def min_basis_with_draws(
             break
         # classes only for the levels the greedy reaches
         by_class: dict[int, list[int]] = {}
+        boundaries = []
         for mask in levels[level]:
             ann = sweep.class_of(mask)
             if ann:
                 by_class.setdefault(ann, []).append(mask)
-            else:  # a boundary, never selectable
-                sweep.retired.add(mask)
+            else:  # never selectable
+                boundaries.append(mask)
+        if boundaries:
+            sweep.retired.update(boundaries)
+            levels[level].difference_update(boundaries)
+            if not levels[level]:
+                del levels[level]
         # edge ids only for the classes not spanned at the start of the
         # level, as (sorted members, residue), in order of their smallest
         # member; no two classes share a member

@@ -8,10 +8,10 @@ variant splits each count evenly across the tied representatives of a
 variant set, in exact rationals.
 
 The per-step bases come from one Horton sweep along the filtration
-(``minbasis.HortonSweep``), which carries shortest-path trees, the
-cycles of the roots whose trees survive, the reduced triangle
-boundaries and known boundaries from step to step, and logs a summary
-at INFO when its chunk is done. With workers > 1 the active steps are
+(``minbasis.HortonSweep``), which carries shortest-path trees, its
+index of candidate cycles, the reduced triangle boundaries and known
+boundaries from step to step, and logs a summary at INFO when its
+chunk is done. With workers > 1 the active steps are
 cut into contiguous chunks of near-equal total edge count, one sweep
 per chunk, run in a process pool.
 Every sweep finds exactly the pool a fresh search would, results are

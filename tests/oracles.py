@@ -14,18 +14,19 @@ edges and reduces every column to the end, with no pivot bound. Slow
 on purpose; only run on small inputs.
 
 The exceptions are the adapters at the end, which only reshape what
-the package returns: the Horton pool of one complex as sorted
-``Cycle``s, and the representatives and total length of a basis.
+the package returns: the Horton pool that a sweep's trees give, the
+pool of one complex as sorted ``Cycle``s, and the representatives and
+total length of a basis.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, groupby
 
-from netscaffold.minbasis import Cycle, HortonSweep
+from netscaffold.minbasis import Cycle, HortonSweep, _hits
 
 
 def components_bfs(n: int, pairs: list[tuple[int, int]]) -> int:
@@ -402,10 +403,10 @@ def _lca(a: int, b: int, pred: list[int], depth: list[int]) -> int:
     return a
 
 
-def horton_pool(cx, mu: list[Fraction], roots=None) -> dict[int, Fraction]:
-    """Horton cycles of one flag complex from a fresh search, as
-    edge-position mask -> length; mu[p] is the length of position p.
-    roots limits the search to those roots (default: every vertex).
+def horton_hits(cx, mu: list[Fraction]) -> list[tuple[int, Fraction]]:
+    """Every (root, edge) Horton hit of one flag complex from a fresh
+    search, as (edge-position mask, length) pairs, repeats kept; mu[p]
+    is the length of position p.
 
     For root v and edge (a,b): tree paths v->a, v->b plus the edge,
     kept when the edge is not a tree edge of v and the paths meet only
@@ -419,8 +420,8 @@ def horton_pool(cx, mu: list[Fraction], roots=None) -> dict[int, Fraction]:
         u, v = cx.edge_vertices(p)
         adj[u].append((v, mu[p], p))
         adj[v].append((u, mu[p], p))
-    found: dict[int, Fraction] = {}
-    for root in range(n) if roots is None else roots:
+    hits = []
+    for root in range(n):
         dist, pred, depth, pathmask = _sp_tree(adj, n, root)
         for p in range(cx.n_edges):
             a, b = cx.edge_vertices(p)
@@ -431,9 +432,22 @@ def horton_pool(cx, mu: list[Fraction], roots=None) -> dict[int, Fraction]:
             if _lca(a, b, pred, depth) != root:
                 continue
             mask = pathmask[a] ^ pathmask[b] ^ (1 << p)
-            if mask not in found:
-                found[mask] = dist[a] + dist[b] + mu[p]
-    return found
+            hits.append((mask, dist[a] + dist[b] + mu[p]))
+    return hits
+
+
+def horton_pool(cx, mu: list[Fraction]) -> dict[int, Fraction]:
+    """Horton cycles of one flag complex from a fresh search, as
+    edge-position mask -> length; mu[p] is the length of position p."""
+    return dict(horton_hits(cx, mu))
+
+
+def source_counts(cx, mu: list[Fraction]) -> dict[int, int]:
+    """Sources of each candidate cycle of one flag complex, as
+    edge-position mask -> count: one per (root, edge) Horton hit of a
+    fresh search, and one per fundamental cycle of its forest."""
+    masks = [m for m, _ in horton_hits(cx, mu)] + [m for m in cx.cycles if m]
+    return dict(Counter(masks))
 
 
 def reference_selection(cx, mu: list[Fraction]):
@@ -489,6 +503,17 @@ def reference_selection(cx, mu: list[Fraction]):
 # adapters over package results
 
 
+def sweep_pool(sweep, cx) -> dict[int, Fraction]:
+    """The Horton pool that the shortest-path trees of a sweep give for
+    cx, the last view it grew to, as edge-position mask -> length, by
+    the sweep's own hit test. Reads the trees and changes nothing."""
+    return {
+        mask: Fraction(length, sweep.denom)
+        for tree in sweep._trees
+        for mask, length in _hits(tree, range(cx.n_edges), sweep._ends, sweep.imu)
+    }
+
+
 def horton_candidates(cx, mu_weights=None) -> list[Cycle]:
     """The Horton pool of one complex from a one-step ``HortonSweep``,
     as ``Cycle``s sorted by (length, edge ids).
@@ -498,9 +523,10 @@ def horton_candidates(cx, mu_weights=None) -> list[Cycle]:
     """
     sweep = HortonSweep(cx, mu_weights)
     sweep._take(cx)
+    sweep._grow(cx)
     cycles = [
-        Cycle(edges=cx.ids_of_mask(m), length_mu=Fraction(l, sweep.denom))
-        for m, l in sweep._pool(cx).items()
+        Cycle(edges=cx.ids_of_mask(m), length_mu=l)
+        for m, l in sweep_pool(sweep, cx).items()
     ]
     cycles.sort(key=lambda c: c.sort_key)
     return cycles

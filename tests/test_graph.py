@@ -19,7 +19,9 @@ from netscaffold.graph import (
     parse_edge_list,
     relabel,
     serialize_edge_list,
+    sorted_weights,
 )
+from netscaffold.complexes import flag_complex_at
 
 
 class TestWeights:
@@ -225,6 +227,33 @@ class TestFiltration:
     def test_empty_graph_degenerate_single_step(self):
         g = make_graph(3, [])
         assert build_filtration(g).steps == (Fraction(0),)
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.fractions(min_value=0, max_denominator=10**20),
+                # close to one float, or past the float range
+                st.integers(min_value=-3, max_value=3).map(
+                    lambda k: Fraction(1, 3) + Fraction(k, 10**40)
+                ),
+                st.integers(min_value=0, max_value=3).map(
+                    lambda k: Fraction(10**400 + k, 10 ** (k % 2))
+                ),
+            ),
+            max_size=30,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_weights_sort_exactly(self, ws):
+        assert sorted_weights(ws) == tuple(sorted(set(ws)))
+
+    def test_weights_past_the_float_range_order_exactly(self):
+        # the parsers reject such weights; a graph built directly holds them
+        big = Fraction(10**400)
+        g = WeightedGraph(3, ((0, 1, big + 1), (0, 2, Fraction(1, 2)), (1, 2, big)))
+        steps = (Fraction(1, 2), big, big + 1)
+        assert build_filtration(g).steps == steps
+        assert flag_complex_at(g, big + 1).weights == steps
 
     @pytest.mark.parametrize(
         "steps",

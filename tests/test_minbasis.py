@@ -2,6 +2,7 @@
 
 import logging
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from netscaffold.minbasis import (
     MinimalBasisWithDraws,
     PathologyEvent,
     VariantSet,
+    _sp_tree,
     annotate_edges,
     min_basis_with_draws,
 )
@@ -23,6 +25,7 @@ from netscaffold.persistence import bars_alive_at, compute_persistence
 from netscaffold.scaffold import step_bases
 
 from .oracles import (
+    _sp_tree as reference_sp_tree,
     all_cycle_vectors,
     back_eliminated_classes,
     brute_min_basis_total,
@@ -33,8 +36,11 @@ from .oracles import (
     horton_candidates,
     horton_pool,
     make_residue_fn,
+    mask_length,
     reference_selection,
     representatives,
+    source_counts,
+    sweep_pool,
     total_length,
 )
 
@@ -431,8 +437,8 @@ def graph_and_mu(draw, dense=False):
 def moving_trees_graph():
     """Distinct weights 1..10 on 6 vertices, 5 active steps of 10.
     Roots 0 and 3 have their trees moved at the sixth step and kept for
-    the last four, so each stores its cycles at the seventh step and
-    merges them whole, plus the new edges' cycles, at the next three."""
+    the last four; several recomputes change the tree paths of only
+    some vertices."""
     return make_graph(
         6,
         [
@@ -447,6 +453,42 @@ def mu_of(cx, mu):
         cx.edge_weight(p) if mu is None else mu[cx.edge_ids[p]]
         for p in range(cx.n_edges)
     ]
+
+
+@st.composite
+def adjacency(draw):
+    """Adjacency lists (neighbor, weight, position) of a small graph
+    with integer weights 0..3, so ties and zero weights are common."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = []
+    if pairs:
+        chosen = draw(
+            st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))
+        )
+    adj = [[] for _ in range(n)]
+    for p, (u, v) in enumerate(chosen):
+        w = draw(st.integers(min_value=0, max_value=3))
+        adj[u].append((v, w, p))
+        adj[v].append((u, w, p))
+    return adj
+
+
+class TestShortestPathTree:
+    @given(adjacency())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_tree_matches_two_pass_reference(self, adj):
+        n = len(adj)
+        for root in range(n):
+            dist, pred, branch, pathmask = _sp_tree(adj, n, root)
+            want_dist, want_pred, _, want_pathmask = reference_sp_tree(adj, n, root)
+            assert (dist, pred, pathmask) == (want_dist, want_pred, want_pathmask)
+            for u in range(n):
+                # the child of root on the tree path, -1 off root's component
+                top = u if dist[u] is not None else -1
+                while top not in (-1, root) and pred[top] != root:
+                    top = pred[top]
+                assert branch[u] == top
 
 
 class TestSelection:
@@ -485,12 +527,20 @@ def assert_sweep_matches_fresh_search(g, mu):
         sweep = HortonSweep(cx.at(steps[-1]), mu)
         for eps in steps:
             view = cx.at(eps)
-            sweep._take(view)
-            got = {
-                m: Fraction(l, sweep.denom)
-                for m, l in sweep._pool(view).items()
-            }
-            assert got == horton_pool(view, mu_of(view, mu))
+            assert min_basis_with_draws(view, mu, sweep) == min_basis_with_draws(
+                view, mu
+            )
+            mu_view = mu_of(view, mu)
+            assert sweep_pool(sweep, view) == horton_pool(view, mu_view)
+            # the pool index: sources per cycle, and the unretired
+            # cycles grouped by scaled length
+            assert sweep._count == source_counts(view, mu_view)
+            levels: dict[int, set[int]] = {}
+            for m in sweep._count:
+                if m not in sweep.retired:
+                    length = mask_length(m, mu_view) * sweep.denom
+                    levels.setdefault(int(length), set()).add(m)
+            assert sweep._levels == levels
 
 
 def assert_classes_match_back_elimination(g, mu):
@@ -512,7 +562,8 @@ def assert_classes_match_back_elimination(g, mu):
             # taking the same view again changes nothing
             for _ in range(2):
                 assert sweep._take(view) == beta1
-                pool = sweep._pool(view)
+                sweep._grow(view)
+                pool = sweep_pool(sweep, view)
                 # sweep class -> oracle class must be a bijection
                 # that keeps 0, over the pool and the fundamental cycles
                 seen: dict[int, int] = {}
@@ -545,35 +596,39 @@ class TestHortonSweep:
     def test_classes_match_back_elimination_on_dense_draws(self, case):
         assert_classes_match_back_elimination(*case)
 
-    def test_kept_roots_store_their_cycles(self):
+    def test_recompute_retests_only_edges_at_changed_vertices(self):
         g = moving_trees_graph()
         cx = full_complex(g)
         sweep = HortonSweep(cx)
-        kept_since_recompute = [None] * g.n_vertices
-        longest = 0
+        local = 0
         for eps in build_filtration(g).steps:
             view = cx.at(eps)
-            before = list(sweep._trees)
+            before, n_old = list(sweep._trees), sweep._n_edges
+            retested = sweep.retested
             sweep._take(view)
-            got = {m: Fraction(l, sweep.denom) for m, l in sweep._pool(view).items()}
-            assert got == horton_pool(view, mu_of(view, None))
-            for root, tree in enumerate(sweep._trees):
-                if before[root] is None:
+            sweep._grow(view)
+            assert sweep._count == source_counts(view, mu_of(view, None))
+            # a kept tree tests only the new edges and is not counted; a
+            # recompute tests the new edges and those at a vertex whose
+            # tree path changed
+            want = 0
+            for old, tree in zip(before, sweep._trees):
+                if tree is old:
                     continue
-                if tree is before[root]:
-                    stored = sweep._cycles[root]
-                    assert {m: Fraction(l, sweep.denom) for m, l in stored.items()} == (
-                        horton_pool(view, mu_of(view, None), roots=[root])
-                    )
-                    if kept_since_recompute[root] is not None:
-                        kept_since_recompute[root] += 1
-                        longest = max(longest, kept_since_recompute[root])
-                else:
-                    # recomputed at its latest step: nothing stored
-                    assert sweep._cycles[root] is None
-                    kept_since_recompute[root] = 0
-        assert longest >= 3
-        assert sweep.reused > 0
+                if old is None:
+                    want += view.n_edges
+                    continue
+                changed = {v for v in range(g.n_vertices) if old[3][v] != tree[3][v]}
+                edges = [
+                    p
+                    for p in range(view.n_edges)
+                    if p >= n_old or changed & set(view.edge_vertices(p))
+                ]
+                want += len(edges)
+                local += len(edges) < view.n_edges
+            assert sweep.retested - retested == want
+        assert local >= 10
+        assert sweep.retested < sweep.rescan
 
     def test_step_bases_logs_one_summary_at_info(self, caplog):
         g = moving_trees_graph()
@@ -587,13 +642,17 @@ class TestHortonSweep:
         views = [barcode.complex.at(eps) for eps, _ in results]
         last = views[-1]
         absorbed = last.n_edges - last.tree.bit_count() - results[-1][1].beta1
-        largest = max(len(horton_pool(v, mu_of(v, None))) for v in views)
+        # the index holds the Horton pool and the fundamental cycles
+        largest = max(len(source_counts(v, mu_of(v, None))) for v in views)
         steps = len(results)
         msg = records[0].getMessage()
         assert msg.startswith(f"Horton sweep: {steps} steps, ")
         assert f" of {steps * g.n_vertices} trees recomputed, " in msg
+        tested = re.search(r", (\d+) of (\d+) edges re-tested, ", msg)
+        assert tested is not None
+        assert 0 < int(tested[1]) < int(tested[2])
         assert msg.endswith(
-            f" {absorbed} boundaries absorbed, largest pool {largest}"
+            f" {absorbed} boundaries absorbed, largest index {largest}"
         )
 
     def test_view_that_does_not_extend_the_last_one_raises(
@@ -610,8 +669,9 @@ class TestHortonSweep:
         pools = []
         for _ in range(2):
             sweep._take(cx)
-            pools.append(sweep._pool(cx))
-        assert pools[0] == pools[1]
+            sweep._grow(cx)
+            pools.append(dict(sweep._count))
+        assert pools[0] == pools[1] == source_counts(cx, mu_of(cx, None))
 
     def test_view_past_the_horizon_raises(self, theta_graph):
         cx = full_complex(theta_graph)
