@@ -18,9 +18,11 @@ Along a filtration the candidates and classes come from one
 ``HortonSweep`` over ascending prefix views of the full complex. It
 scales the mu lengths once and keeps a pool index from step to step:
 the number of sources of each candidate cycle, and the cycles not
-known to be boundaries grouped by length. It recomputes a root's
-shortest-path tree only when a new edge can change it, and then tests
-again only the edges at a vertex whose tree path changed. It reduces
+known to be boundaries grouped by length. It updates each root's
+shortest-path tree in place as a step's edges enter (a batched edge
+insertion in the manner of Ramalingam and Reps, J. Algorithms 1996),
+and tests again only the edges at a vertex whose tree path changed.
+It reduces
 each triangle boundary once, into classes whose coordinates are the
 non-tree edge positions, and retires the cycles found to be
 boundaries. The index at every step holds exactly the Horton pool of
@@ -195,20 +197,169 @@ def _sp_tree(
     return dist, pred, branch, pathmask
 
 
-def _moves(dist: list[int | None], a: int, b: int, w: int) -> bool:
-    """Whether a new edge {a,b} of length w can change a shortest-path
-    tree with these distances.
+def _insert(
+    tree: tuple,
+    adj: list[list[tuple[int, int, int]]],
+    root: int,
+    new: Iterable[int],
+    ends: list[tuple[int, int]],
+    imu: list[int],
+) -> tuple[tuple, list[int]]:
+    """Root's ``_sp_tree`` tree after the edge positions new, already in
+    adj, were inserted, updated in place of a rebuild; and the vertices
+    whose tree path changed, each after its tree parent. The input tree
+    is returned, unchanged, when no path changes; otherwise a new tree.
 
-    It cannot when it leaves the root's component alone, or when it is
-    strictly longer than the gap between its endpoints' distances: then
-    no distance changes, no new path ties an old one, and Dijkstra's
-    settle order only gains stale heap entries, so pred stays as it is.
-    A tie or a zero weight always counts as a change.
+    ``_sp_tree``'s tree is a function of the graph and the distances
+    alone. Vertices at one distance d settle in smallest-id-first order,
+    starting from those with a tight edge of positive weight from below
+    and going on along zero-weight edges. So each zero-weight component
+    at d (a single vertex when it has no zero-weight edge) is settled by
+    a smallest-id-first search of its own, and pred[u] is the smallest
+    id among u's tight neighbours below d and its zero-weight neighbours
+    settled before it.
+
+    The update lowers distances with a Dijkstra seeded by the new edges.
+    pred[u] reads only the distances at u and its neighbours, and the
+    order within u's component reads only which members have a tight
+    edge from below. A vertex whose distance did not fall keeps every
+    tight neighbour it had, since one that fell would pull it down too,
+    so its inputs change only when a new edge, or a neighbour whose
+    distance fell, reaches it at an equal distance. pred is derived
+    again for the components that hold such a vertex or one whose
+    distance fell, and for no other. branch and pathmask are redone for
+    the vertices whose distance or pred changed and their descendants,
+    which is exactly the set whose path changed.
     """
-    da, db = dist[a], dist[b]
-    if da is None or db is None:
-        return (da is None) != (db is None)
-    return da + w <= db or db + w <= da
+    dist, pred, branch, pathmask = tree
+    heap: list[tuple[int, int]] = []
+    touched: set[int] = set()  # vertices whose pred must be derived again
+    for p in new:
+        a, b = ends[p]
+        w = imu[p]
+        da, db = dist[a], dist[b]
+        if da is not None:
+            nd = da + w
+            if db is None or nd < db:
+                heap.append((nd, b))
+            elif nd == db:
+                touched.add(b)
+        if db is not None:
+            nd = db + w
+            if da is None or nd < da:
+                heap.append((nd, a))
+            elif nd == da:
+                touched.add(a)
+    if not heap and not touched:
+        return tree, []
+
+    fell: set[int] = set()
+    if heap:
+        dist = dist[:]
+        heapq.heapify(heap)
+        while heap:
+            d, v = heapq.heappop(heap)
+            dv = dist[v]
+            if dv is not None and dv <= d:
+                continue
+            dist[v] = d
+            fell.add(v)
+            for u, w, _ in adj[v]:
+                du = dist[u]
+                nd = d + w
+                if du is None or nd < du:
+                    heapq.heappush(heap, (nd, u))
+                elif nd == du:
+                    touched.add(u)
+        touched |= fell
+
+    # new pred and pred-edge position of each vertex whose path moved
+    moved: dict[int, tuple[int, int]] = {}
+    seen: set[int] = set()
+    for v in touched:
+        if v in seen:
+            continue
+        seen.add(v)
+        d = dist[v]
+        best = best_pos = -1
+        flat = False
+        for u, w, q in adj[v]:
+            if not w:
+                flat = True
+            elif dist[u] is not None and dist[u] + w == d and (best < 0 or u < best):
+                best, best_pos = u, q
+        if not flat:
+            if best != pred[v] or v in fell:
+                moved[v] = (best, best_pos)
+            continue
+        # v's zero-weight component, settled smallest id first from the
+        # members with a tight edge from below
+        comp = [v]
+        for z in comp:
+            for u, w, _ in adj[z]:
+                if not w and u not in seen:
+                    seen.add(u)
+                    comp.append(u)
+        order = [
+            z for z in comp
+            if z == root or any(
+                w and dist[u] is not None and dist[u] + w == d for u, w, _ in adj[z]
+            )
+        ]
+        heapq.heapify(order)
+        queued = set(order)
+        done: set[int] = set()
+        while order:
+            z = heapq.heappop(order)
+            best = best_pos = -1
+            for u, w, q in adj[z]:
+                if w:
+                    du = dist[u]
+                    if du is not None and du + w == d and (best < 0 or u < best):
+                        best, best_pos = u, q
+                elif u in done:
+                    if best < 0 or u < best:
+                        best, best_pos = u, q
+                elif u not in queued:
+                    queued.add(u)
+                    heapq.heappush(order, u)
+            done.add(z)
+            if best != pred[z] or z in fell:
+                moved[z] = (best, best_pos)
+    if not moved:
+        return tree, []
+
+    # the moved vertices and their descendants in the new tree
+    old_pathmask = pathmask
+    pred, branch, pathmask = pred[:], branch[:], pathmask[:]
+    for z, (q, _) in moved.items():
+        pred[z] = q
+    changed = list(moved)
+    inside = set(changed)
+    for v in changed:
+        for u, _, _ in adj[v]:
+            if pred[u] == v and u not in inside:
+                inside.add(u)
+                changed.append(u)
+    # redo paths parents first: walk up to a redone or unchanged parent
+    redone: set[int] = set()
+    out = []
+    for v in changed:
+        chain = []
+        while v in inside and v not in redone:
+            redone.add(v)
+            chain.append(v)
+            v = pred[v]
+        for v in reversed(chain):
+            q = pred[v]
+            if v in moved:
+                bit = 1 << moved[v][1]
+            else:  # same pred edge as before
+                bit = old_pathmask[v] ^ old_pathmask[q]
+            pathmask[v] = pathmask[q] | bit
+            branch[v] = v if q == root else branch[q]
+            out.append(v)
+    return (dist, pred, branch, pathmask), out
 
 
 def _hits(
@@ -255,15 +406,19 @@ class HortonSweep:
     retires it. The index size is the number of distinct cycles with a
     source, fundamental cycles included.
 
-    The adjacency grows by the view's new edges. A root's shortest-path
-    tree is recomputed only when one of them can change it (``_moves``);
-    a kept tree tests only the new edges. The hit of a root and an edge
-    (a,b), its cycle and its length read only the tree paths to a and
-    b, so after a recompute only the edges at a vertex whose path
-    changed, and the new edges, are tested again: each old hit, read
-    off the old tree, loses a source and each new hit gains one. A
-    fresh sweep has no old tree, and every edge is new. So the index
-    always holds exactly the sources of a fresh search of the view.
+    The adjacency grows by the view's new edges. A fresh sweep builds
+    each root's shortest-path tree whole (``_sp_tree``); later views
+    insert their new edges into it (``_insert``), which re-settles only
+    the vertices whose distance falls or whose pred a new tight edge
+    moves, and returns the vertices whose tree path changed. A tree
+    with no such vertex is kept and tests only the new edges. The hit
+    of a root and an edge (a,b), its cycle and its length read only the
+    tree paths to a and b, so after an update only the edges at a
+    vertex whose path changed, and the new edges, are tested again:
+    each old hit, read off the old tree, loses a source and each new
+    hit gains one. A fresh sweep has no old tree, and every edge is
+    new. So the index always holds exactly the sources of a fresh
+    search of the view.
 
     Classes live in the coordinates of the horizon's non-tree positions,
     which never change along the sweep. The sweep keeps every boundary
@@ -273,9 +428,11 @@ class HortonSweep:
     columns. ``class_of`` is then canonical per class, and zero exactly
     for boundaries of the last view.
 
-    ``retired`` collects cycles found to be boundaries. A later view
-    only adds triangles, so they stay boundaries and never enter a
-    level again.
+    ``retired`` collects cycles found to be boundaries that still have
+    a source. A later view only adds triangles, so they stay boundaries
+    and never enter a level again while they keep a source; a cycle
+    leaves ``retired`` with its last source, so ``retired`` never
+    outgrows the index.
     """
 
     def __init__(
@@ -298,8 +455,10 @@ class HortonSweep:
         self._count: dict[int, int] = {}  # cycle -> number of sources
         self._levels: dict[int, set[int]] = {}  # scaled length -> cycles
         # for the summary log
-        self.steps = self.recomputed = self.largest_index = 0
-        self.retested = self.rescan = 0  # edges tested on recompute, all edges
+        self.steps = self.largest_index = 0
+        self.updated = self.built = 0  # trees updated in place, built whole
+        self.moved = 0  # vertices whose tree path an update changed
+        self.retested = self.rescan = 0  # edges tested on a new tree, all edges
 
     def _take(self, cx: FlagComplex2) -> int:
         """Check that cx extends the last view, absorb its new triangle
@@ -349,7 +508,7 @@ class HortonSweep:
         count = self._count
         c = count.get(mask, 0)
         count[mask] = c + 1
-        if not c and mask not in self.retired:
+        if not c:  # a cycle with no source is never retired
             level = self._levels.get(length)
             if level is None:
                 self._levels[length] = {mask}
@@ -363,11 +522,13 @@ class HortonSweep:
             count[mask] = c
             return
         del count[mask]
-        level = self._levels.get(length)
-        if level is not None and mask in level:
-            level.remove(mask)
-            if not level:
-                del self._levels[length]
+        if mask in self.retired:
+            self.retired.remove(mask)
+            return
+        level = self._levels[length]
+        level.remove(mask)
+        if not level:
+            del self._levels[length]
 
     def _grow(self, cx: FlagComplex2) -> None:
         """Bring the pool index up to cx, a view ``_take`` has absorbed."""
@@ -383,24 +544,27 @@ class HortonSweep:
         self._n_edges = cx.n_edges
 
         n = len(adj)
-        add, drop = self._add, self._drop
+        add, drop, trees = self._add, self._drop, self._trees
         for root in range(n):
-            tree = old = self._trees[root]
+            tree = old = trees[root]
             scan = new
-            if old is None or any(_moves(old[0], *ends[p], imu[p]) for p in new):
-                tree = self._trees[root] = _sp_tree(adj, n, root)
-                if old is not None:
-                    was, now = old[3], tree[3]
-                    touched = set(new)
-                    for v in range(n):
-                        if was[v] != now[v]:
-                            touched.update(p for _, _, p in adj[v])
-                    scan = touched
-                self.recomputed += 1
+            if old is None:
+                tree = trees[root] = _sp_tree(adj, n, root)
+                self.built += 1
+            else:
+                tree, changed = _insert(old, adj, root, new, ends, imu)
+                if tree is not old:
+                    trees[root] = tree
+                    scan = set(new)
+                    for v in changed:
+                        scan.update(p for _, _, p in adj[v])
+                    self.updated += 1
+                    self.moved += len(changed)
+            if tree is not old:
                 self.retested += len(scan)
                 self.rescan += cx.n_edges
             # gains before losses, so a cycle that keeps a source never
-            # leaves its level
+            # leaves its level or ``retired``
             for mask, length in _hits(tree, scan, ends, imu):
                 add(mask, length)
             if old is not None and tree is not old:
@@ -413,11 +577,14 @@ class HortonSweep:
     def log_summary(self) -> None:
         """Log at INFO what the sweep did so far."""
         logger.info(
-            "Horton sweep: %d steps, %d of %d trees recomputed, %d of %d "
-            "edges re-tested, %d boundaries absorbed, largest index %d",
+            "Horton sweep: %d steps, %d of %d trees updated in place, %d built "
+            "whole, %d vertex paths changed, %d of %d edges re-tested, %d "
+            "boundaries absorbed, largest index %d",
             self.steps,
-            self.recomputed,
+            self.updated,
             self.steps * len(self._trees),
+            self.built,
+            self.moved,
             self.retested,
             self.rescan,
             len(self._cols),

@@ -1,7 +1,10 @@
 """Node and edge statistics of scaffolds, and scaffold comparison.
 
-Shortest-path metrics run on exact rational lengths so equal-length
-paths are recognized exactly; only the final summaries become floats.
+Shortest-path metrics stay exact: each graph's path lengths are scaled
+once to integers by the lcm of their denominators, so equal-length
+paths are recognized exactly, and Brandes' dependencies are summed in
+integers over one common denominator per source. Only the final
+summaries become floats.
 Correlations return None instead of NaN when an input vector is
 constant, and those pairs are excluded from aggregate means.
 
@@ -86,17 +89,17 @@ def _lengths(
 
 
 def _sssp(
-    adj: list[list[tuple[int, Fraction]]], n: int, s: int
-) -> tuple[list[Fraction | None], list[int], list[list[int]], list[int]]:
-    """Dijkstra with path counting; exact lengths make ties exact."""
-    dist: list[Fraction | None] = [None] * n
+    adj: list[list[tuple[int, int]]], n: int, s: int
+) -> tuple[list[int | None], list[int], list[list[int]], list[int]]:
+    """Dijkstra with path counting on integer lengths, so ties are exact."""
+    dist: list[int | None] = [None] * n
     sigma = [0] * n
     preds: list[list[int]] = [[] for _ in range(n)]
-    dist[s] = Fraction(0)
+    dist[s] = 0
     sigma[s] = 1
     settled = [False] * n
     order: list[int] = []
-    heap: list[tuple[Fraction, int]] = [(Fraction(0), s)]
+    heap: list[tuple[int, int]] = [(0, s)]
     while heap:
         d, u = heapq.heappop(heap)
         if settled[u]:
@@ -119,28 +122,38 @@ def _sssp(
 def _betweenness_closeness(
     n: int, edges: list[tuple[int, int, Fraction]]
 ) -> tuple[np.ndarray, np.ndarray]:
-    adj: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
+    """Brandes betweenness and closeness, exact until the final floats.
+
+    Lengths are scaled once to integers by the lcm of their
+    denominators. Per source s, with m the lcm of the path counts
+    sigma, acc[u] is m times the sum of (1 + delta[v]) / sigma[v] over
+    the v that have u as a shortest-path predecessor, each term being
+    m // sigma[v] + acc[v]; the dependency delta[u] is
+    sigma[u] * acc[u] / m, the only division.
+    """
+    scale = math.lcm(*(w.denominator for _, _, w in edges)) if edges else 1
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     for u, v, w in edges:
-        adj[u].append((v, w))
-        adj[v].append((u, w))
+        length = w.numerator * (scale // w.denominator)
+        adj[u].append((v, length))
+        adj[v].append((u, length))
     bet = [Fraction(0)] * n
     clo = np.zeros(n)
     for s in range(n):
         dist, sigma, preds, order = _sssp(adj, n, s)
-        total = Fraction(0)
-        reached = 0
-        for v in order:
-            if v != s:
-                total += dist[v]  # type: ignore[operator]
-                reached += 1
-        if reached > 0 and total > 0:
-            clo[s] = float(Fraction(n - 1) / total)
-        delta = [Fraction(0)] * n
+        total = sum(dist[v] for v in order)  # type: ignore[misc]
+        if total > 0:
+            # int / int is the correctly rounded Fraction((n-1)*scale, total)
+            clo[s] = (n - 1) * scale / total
+        m = math.lcm(*(sigma[v] for v in order))
+        acc = [0] * n
         for v in reversed(order):
+            a = acc[v]
+            if v != s and a:
+                bet[v] += Fraction(sigma[v] * a, m)
+            a += m // sigma[v]
             for u in preds[v]:
-                delta[u] += Fraction(sigma[u], sigma[v]) * (1 + delta[v])
-            if v != s:
-                bet[v] += delta[v]
+                acc[u] += a
         # undirected: every pair is counted from both endpoints
     return np.array([float(b / 2) for b in bet]), clo
 

@@ -6,9 +6,10 @@ Gaussian elimination with lowest-bit pivots instead of bitset column
 reduction with highest-bit pivots, exhaustive cycle-space
 enumeration instead of candidate generation, one fresh Horton
 search and one back-eliminated boundary reduction per complex instead
-of a sweep along the filtration, and a basis selection that converts
-every candidate and tests independence by rank. ``reference_reduced``
-does use highest-bit pivots, because the left-to-right reduction is
+of a sweep along the filtration, a basis selection that converts
+every candidate and tests independence by rank, and Brandes'
+betweenness and closeness on ``Fraction`` lengths instead of
+integer-scaled ones. ``reference_reduced`` does use highest-bit pivots, because the left-to-right reduction is
 what it pins down: it rebuilds the boundary columns by scanning the
 edges and reduces every column to the end, with no pivot bound. Slow
 on purpose; only run on small inputs.
@@ -25,6 +26,8 @@ import heapq
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, groupby
+
+import numpy as np
 
 from netscaffold.minbasis import Cycle, HortonSweep, _hits
 
@@ -501,6 +504,66 @@ def reference_selection(cx, mu: list[Fraction]):
 
 # ---------------------------------------------------------------------------
 # adapters over package results
+
+
+def _sssp(adj, n: int, s: int):
+    """Dijkstra with path counting on ``Fraction`` lengths:
+    (dist, sigma, preds, order)."""
+    dist = [None] * n
+    sigma = [0] * n
+    preds = [[] for _ in range(n)]
+    dist[s] = Fraction(0)
+    sigma[s] = 1
+    settled = [False] * n
+    order = []
+    heap = [(Fraction(0), s)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if settled[u]:
+            continue
+        settled[u] = True
+        order.append(u)
+        for v, w in adj[u]:
+            nd = d + w
+            if dist[v] is None or nd < dist[v]:
+                dist[v] = nd
+                sigma[v] = sigma[u]
+                preds[v] = [u]
+                heapq.heappush(heap, (nd, v))
+            elif nd == dist[v] and not settled[v]:
+                sigma[v] += sigma[u]
+                preds[v].append(u)
+    return dist, sigma, preds, order
+
+
+def betweenness_closeness(n: int, edges: list[tuple[int, int, Fraction]]):
+    """Brandes betweenness and closeness on ``Fraction`` path lengths,
+    with three ``Fraction`` operations per shortest-path DAG edge; the
+    library's kernel before it scaled lengths and dependencies to
+    integers. Returns two float arrays."""
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    bet = [Fraction(0)] * n
+    clo = np.zeros(n)
+    for s in range(n):
+        dist, sigma, preds, order = _sssp(adj, n, s)
+        total = Fraction(0)
+        reached = 0
+        for v in order:
+            if v != s:
+                total += dist[v]
+                reached += 1
+        if reached > 0 and total > 0:
+            clo[s] = float(Fraction(n - 1) / total)
+        delta = [Fraction(0)] * n
+        for v in reversed(order):
+            for u in preds[v]:
+                delta[u] += Fraction(sigma[u], sigma[v]) * (1 + delta[v])
+            if v != s:
+                bet[v] += delta[v]
+    return np.array([float(b / 2) for b in bet]), clo
 
 
 def sweep_pool(sweep, cx) -> dict[int, Fraction]:

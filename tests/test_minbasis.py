@@ -9,14 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netscaffold import minbasis
 from netscaffold.complexes import flag_complex_at
-from netscaffold.graph import build_filtration, make_graph, relabel
+from netscaffold.graph import build_filtration, make_graph, orient_filtration, relabel
 from netscaffold.minbasis import (
     Cycle,
     HortonSweep,
     MinimalBasisWithDraws,
     PathologyEvent,
     VariantSet,
+    _insert,
     _sp_tree,
     annotate_edges,
     min_basis_with_draws,
@@ -455,6 +457,16 @@ def mu_of(cx, mu):
     ]
 
 
+def view_adjacency(cx):
+    """Adjacency lists (neighbor, weight, position) of a view."""
+    adj = [[] for _ in range(cx.n_vertices)]
+    for p in range(cx.n_edges):
+        u, v = cx.edge_vertices(p)
+        adj[u].append((v, cx.edge_weight(p), p))
+        adj[v].append((u, cx.edge_weight(p), p))
+    return adj
+
+
 @st.composite
 def adjacency(draw):
     """Adjacency lists (neighbor, weight, position) of a small graph
@@ -489,6 +501,76 @@ class TestShortestPathTree:
                 while top not in (-1, root) and pred[top] != root:
                     top = pred[top]
                 assert branch[u] == top
+
+
+@st.composite
+def oriented_graph(draw):
+    """Graphs with distinct weights, tied weights 1..4 or weights 0..3,
+    oriented ascending or descending (which turns the largest weight
+    into 0)."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    kind = draw(st.sampled_from(["distinct", "tied", "zero"]))
+    if kind == "distinct":
+        ws = draw(st.permutations(range(1, len(chosen) + 1)))
+    else:
+        low = 0 if kind == "zero" else 1
+        ws = draw(
+            st.lists(
+                st.integers(min_value=low, max_value=low + 3),
+                min_size=len(chosen),
+                max_size=len(chosen),
+            )
+        )
+    g = make_graph(n, [(u, v, w) for (u, v), w in zip(chosen, ws)])
+    return orient_filtration(g, draw(st.sampled_from(["ascending", "descending"])))
+
+
+class TestTreeUpdate:
+    @given(oriented_graph())
+    @settings(max_examples=300, deadline=None)
+    def test_updated_trees_equal_fresh_trees_at_every_step(self, g):
+        n = g.n_vertices
+        cx = full_complex(g)
+        sweep = HortonSweep(cx)
+        calls = []
+
+        def recording(tree, *args):
+            out = _insert(tree, *args)
+            calls.append((tree, *out))
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(minbasis, "_insert", recording)
+            for eps in build_filtration(g).steps:
+                calls.clear()
+                view = cx.at(eps)
+                sweep._take(view)
+                sweep._grow(view)
+                for root, tree in enumerate(sweep._trees):
+                    dist, pred, branch, pathmask = tree
+                    want_dist, want_pred, _, want_pathmask = reference_sp_tree(
+                        sweep._adj, n, root
+                    )
+                    assert (dist, pred, pathmask) == (
+                        want_dist, want_pred, want_pathmask
+                    )
+                    for u in range(n):
+                        # the child of root on the tree path, -1 off
+                        # root's component
+                        top = u if dist[u] is not None else -1
+                        while top not in (-1, root) and pred[top] != root:
+                            top = pred[top]
+                        assert branch[u] == top
+                # the changed set is exactly the vertices whose path
+                # moved, each after its tree parent
+                for old, new, changed in calls:
+                    moved = [v for v in range(n) if old[3][v] != new[3][v]]
+                    assert sorted(changed) == moved
+                    assert (new is old) == (not moved)
+                    for i, v in enumerate(changed):
+                        assert new[1][v] not in changed[i:]
 
 
 class TestSelection:
@@ -644,16 +726,42 @@ class TestHortonSweep:
         absorbed = last.n_edges - last.tree.bit_count() - results[-1][1].beta1
         # the index holds the Horton pool and the fundamental cycles
         largest = max(len(source_counts(v, mu_of(v, None))) for v in views)
-        steps = len(results)
+        steps, n = len(results), g.n_vertices
+        # from fresh trees: the trees and vertices whose paths change
+        # between consecutive views
+        paths = []
+        for view in views:
+            adj = view_adjacency(view)
+            paths.append([reference_sp_tree(adj, n, root)[3] for root in range(n)])
+        updated = moved = 0
+        for before, after in zip(paths, paths[1:]):
+            for was, now in zip(before, after):
+                changed = sum(a != b for a, b in zip(was, now))
+                updated += changed > 0
+                moved += changed
+        assert 0 < updated < (steps - 1) * n
         msg = records[0].getMessage()
-        assert msg.startswith(f"Horton sweep: {steps} steps, ")
-        assert f" of {steps * g.n_vertices} trees recomputed, " in msg
+        assert msg.startswith(
+            f"Horton sweep: {steps} steps, {updated} of {steps * n} trees updated "
+            f"in place, {n} built whole, {moved} vertex paths changed, "
+        )
         tested = re.search(r", (\d+) of (\d+) edges re-tested, ", msg)
         assert tested is not None
         assert 0 < int(tested[1]) < int(tested[2])
         assert msg.endswith(
             f" {absorbed} boundaries absorbed, largest index {largest}"
         )
+
+    @given(graph_and_mu(dense=True))
+    @settings(max_examples=120, deadline=None)
+    def test_retired_cycles_keep_a_source(self, case):
+        g, mu = case
+        f = build_filtration(g)
+        cx = compute_persistence(f).complex
+        sweep = HortonSweep(cx, mu)
+        for eps in f.steps:
+            min_basis_with_draws(cx.at(eps), mu, sweep)
+            assert sweep.retired <= sweep._count.keys()
 
     def test_view_that_does_not_extend_the_last_one_raises(
         self, theta_graph, unit_square

@@ -7,9 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netscaffold.graph import make_graph
-from netscaffold.scaffold import Scaffold
+from netscaffold.graph import build_filtration, make_graph
+from netscaffold.persistence import compute_persistence
+from netscaffold.scaffold import Scaffold, minimal_scaffold_with_draws, step_bases
 from netscaffold.stats import (
     KS_INCONCLUSIVE_P,
     VERTEX_METRICS,
@@ -21,6 +24,8 @@ from netscaffold.stats import (
     pearson,
     spearman,
 )
+
+from .oracles import betweenness_closeness
 
 
 def scaffold_from(edge_weights, n):
@@ -75,6 +80,74 @@ class TestBetweennessCloseness:
         g = make_graph(2, [(0, 1, 1)])
         with pytest.raises(ValueError, match="length mode"):
             graph_metrics(g, length_mode="sideways")
+
+
+@st.composite
+def weighted_edges(draw):
+    """A graph's vertex count and edges, with rational weights or with
+    weights from a small set (so equal-length paths are common), on up
+    to 10 vertices of which some may be isolated."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    weight = draw(
+        st.sampled_from([
+            st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2)]),
+            st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9),
+        ])
+    )
+    ws = draw(st.lists(weight, min_size=len(chosen), max_size=len(chosen)))
+    return n, [(u, v, w) for (u, v), w in zip(chosen, ws)]
+
+
+def assert_matches_fraction_brandes(obj, n, edges, mode):
+    m = graph_metrics(obj, length_mode=mode)
+    lengths = [(u, v, w if mode == "direct" else 1 / w) for u, v, w in edges]
+    bet, clo = betweenness_closeness(n, lengths)
+    assert m.betweenness.tobytes() == bet.tobytes()
+    assert m.closeness.tobytes() == clo.tobytes()
+
+
+class TestIntegerBrandes:
+    """The integer-scaled kernel against ``Fraction`` Brandes, bit for bit."""
+
+    @given(weighted_edges(), st.sampled_from(["direct", "inverse"]))
+    @settings(max_examples=300, deadline=None)
+    def test_random_graphs(self, case, mode):
+        n, edges = case
+        assert_matches_fraction_brandes(make_graph(n, edges), n, edges, mode)
+
+    def test_forced_ties(self):
+        # a 3x4 grid of unit weights: many equal-length paths per pair,
+        # plus an isolated vertex
+        n = 13
+        edges = [(r * 4 + c, r * 4 + c + 1, Fraction(1)) for r in range(3) for c in range(3)]
+        edges += [(r * 4 + c, r * 4 + c + 4, Fraction(1)) for r in range(2) for c in range(4)]
+        g = make_graph(n, edges)
+        for mode in ("direct", "inverse"):
+            assert_matches_fraction_brandes(g, n, sorted(g.edges), mode)
+
+    # seeds whose scaffolds hold shares of 1/2, 1/3 and 1/6
+    @pytest.mark.parametrize("seed", [700, 707, 708, 709, 713, 725])
+    def test_scaffolds_with_draw_shares(self, seed):
+        # integer weights 1..3 tie often, so draws split weight in 1/k shares
+        rng = random.Random(seed)
+        n = 8
+        g = make_graph(
+            n,
+            [
+                (u, v, rng.randint(1, 3))
+                for u in range(n)
+                for v in range(u + 1, n)
+                if rng.random() < 0.6
+            ],
+        )
+        f = build_filtration(g)
+        s = minimal_scaffold_with_draws(f, step_bases(f, compute_persistence(f)))
+        edges = list(s.edge_weights)
+        assert any(w.denominator > 1 for _, _, w in edges)
+        for mode in ("direct", "inverse"):
+            assert_matches_fraction_brandes(s, n, edges, mode)
 
 
 class TestDegreeStrength:
