@@ -148,18 +148,25 @@ def cmd_persistence(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _generator_params(args: argparse.Namespace) -> dict:
+    """The generator params of --model, read off the command's options;
+    empty for no model, which GeneratorConfig then rejects."""
+    if args.model == "ws":
+        return {"n": args.n, "k": args.k, "p": args.p}
+    if args.model == "rgg":
+        return {"n": args.n, "threshold": args.threshold, "dim": args.dim}
+    if args.model == "er":
+        return {"n": args.n, "m": args.m}
+    return {}
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     if args.config is not None:
         config = GeneratorConfig.from_json(Path(args.config).read_text())
     else:
-        params: dict = {}
-        if args.model == "ws":
-            params = {"n": args.n, "k": args.k, "p": args.p}
-        elif args.model == "rgg":
-            params = {"n": args.n, "threshold": args.threshold, "dim": args.dim}
-        elif args.model == "er":
-            params = {"n": args.n, "m": args.m}
-        config = GeneratorConfig(model=args.model, params=params, seed=args.seed)
+        config = GeneratorConfig(
+            model=args.model, params=_generator_params(args), seed=args.seed
+        )
     g = generate(config)
     _write(Path(args.out), serialize_edge_list(g))
     return EXIT_OK
@@ -203,17 +210,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = ["instance,metric,slot,pearson,spearman,ks_stat,ks_p,ks_inconclusive"]
     for i in range(args.sample):
         seed = args.seed + i
-        if args.model == "ws":
-            config = GeneratorConfig(
-                model="ws", params={"n": args.n, "k": args.k, "p": args.p}, seed=seed
-            )
-        else:
-            config = GeneratorConfig(
-                model="rgg",
-                params={"n": args.n, "threshold": args.threshold, "dim": args.dim},
-                seed=seed,
-            )
-        g = generate(config)
+        g = generate(
+            GeneratorConfig(model=args.model, params=_generator_params(args), seed=seed)
+        )
         rep = _compare_one(g, use_nulls, seed + 10_000, workers)
         reports.append(rep)
         for metric, entry in rep.metrics.items():

@@ -3,11 +3,11 @@
 Only vertices, edges and triangles are built: homology in degree 1 needs
 nothing above the 2-skeleton. Each distinct edge weight is replaced by
 its rank in the sorted weights; edges are ordered by (rank, vertex pair)
-and triangles by (largest edge rank, vertex triple), so a triangle
-enters at its largest edge weight. Ranks are monotone in weight, so the
-complex at a smaller threshold is a prefix of both orders, with every
-edge at the same position: ``FlagComplex2.at`` slices it out instead of
-rebuilding.
+and triangles are reduced in (largest edge rank, vertex triple) order,
+so a triangle enters at its largest edge weight. Ranks are monotone in
+weight, so the complex at a smaller threshold is a prefix of both
+orders, with every edge at the same position: ``FlagComplex2.at``
+slices it out instead of rebuilding.
 
 The complex also carries what persistence and the minimal bases read
 off it: the Kruskal spanning forest over edge positions, the
@@ -24,15 +24,17 @@ Triangles are found in filtration order. A triangle enters with its
 last edge: walking the edge positions once with neighbor bitsets over
 the edges already seen, edge (u, v) closes one triangle per common
 neighbor of u and v. Only the triangles of one rank are then sorted,
-by vertex triple. Each column is reduced as soon as it is found, under
-a pivot bound: ``first`` is the smallest non-tree position that is no
-column's pivot yet. Any sum of boundary columns is a cycle, and a
-cycle's last edge closes it over earlier edges, so it is a non-tree
-position. A column whose pivot falls below ``first`` can therefore
-only reduce to zero; it is stored as 0 without finishing, and a
-triangle whose last edge already lies below ``first`` is never turned
-into a column at all. On dense graphs almost every column is one of
-these.
+by vertex triple, since that order fixes the reduced columns. Each
+column is reduced as soon as it is found, under a pivot bound:
+``first`` is the smallest non-tree position that is no column's pivot
+yet. Any sum of boundary columns is a cycle, and a cycle's last edge
+closes it over earlier edges, so it is a non-tree position. A column
+whose pivot falls below ``first`` can therefore only reduce to zero,
+and a triangle whose last edge already lies below ``first`` is never
+turned into a column at all. On dense graphs almost every column is
+one of these. Only the nonzero columns are kept, at most one per
+non-tree edge, with a count of the triangles per rank: the triangles
+themselves are dropped once their rank is reduced.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .graph import WeightedGraph, sorted_weights
 
@@ -53,18 +56,18 @@ class FlagComplex2:
     ``weights`` are the distinct edge weights present, ascending; a rank
     indexes into it. ``edge_ids`` index into ``graph.edges`` and are
     ordered by (rank, vertex pair), with ``edge_ranks`` alongside.
-    ``triangles`` are vertex triples ordered by (rank, vertex triple),
-    with ``triangle_ranks`` alongside. All vertices of the graph are
-    present regardless of epsilon.
+    ``triangle_counts[r]`` is the number of triangles of rank at most r.
+    All vertices of the graph are present regardless of epsilon.
 
     ``tree`` is the bitset of edge positions in the Kruskal forest
     (position order). ``cycles[p]`` is the fundamental cycle of
     non-tree position p, as a bitset of positions, and 0 for a tree
-    position. ``reduced[t]`` is the boundary of triangle t over edge
-    positions after left-to-right column reduction, exactly as a plain
-    reduction leaves it: a nonzero column's pivot is the edge whose
-    class triangle t kills, and a column that reduces to zero is 0,
-    whether or not it was ever built (see the module docstring).
+    position. ``columns`` holds, in triangle order, a (rank, column)
+    pair for each triangle whose boundary over edge positions stays
+    nonzero under plain left-to-right column reduction, with the
+    column as that reduction leaves it. Its pivot is the edge whose
+    class the triangle kills; the triangles whose columns reduce to
+    zero are only counted (see the module docstring).
     """
 
     epsilon: Fraction
@@ -72,11 +75,10 @@ class FlagComplex2:
     weights: tuple[Fraction, ...]
     edge_ids: tuple[int, ...]
     edge_ranks: tuple[int, ...]
-    triangles: tuple[tuple[int, int, int], ...]
-    triangle_ranks: tuple[int, ...]
+    triangle_counts: tuple[int, ...]
     tree: int = field(repr=False)
     cycles: tuple[int, ...] = field(repr=False)
-    reduced: tuple[int, ...] = field(repr=False)
+    columns: tuple[tuple[int, int], ...] = field(repr=False)
 
     @property
     def n_vertices(self) -> int:
@@ -88,7 +90,7 @@ class FlagComplex2:
 
     @property
     def n_triangles(self) -> int:
-        return len(self.triangles)
+        return self.triangle_counts[-1] if self.triangle_counts else 0
 
     def edge_vertices(self, pos: int) -> tuple[int, int]:
         u, v, _ = self.graph.edges[self.edge_ids[pos]]
@@ -116,18 +118,17 @@ class FlagComplex2:
             raise ValueError(f"threshold {epsilon} above {self.epsilon}")
         r = bisect_right(self.weights, epsilon)  # ranks below r are kept
         n_e = bisect_right(self.edge_ranks, r - 1)
-        n_t = bisect_right(self.triangle_ranks, r - 1)
+        n_c = bisect_right(self.columns, r - 1, key=itemgetter(0))
         return FlagComplex2(
             epsilon=epsilon,
             graph=self.graph,
             weights=self.weights[:r],
             edge_ids=self.edge_ids[:n_e],
             edge_ranks=self.edge_ranks[:n_e],
-            triangles=self.triangles[:n_t],
-            triangle_ranks=self.triangle_ranks[:n_t],
+            triangle_counts=self.triangle_counts[:r],
             tree=self.tree & ((1 << n_e) - 1),
             cycles=self.cycles[:n_e],
-            reduced=self.reduced[:n_t],
+            columns=self.columns[:n_c],
         )
 
 
@@ -182,9 +183,9 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
     nbr = [0] * g.n_vertices  # neighbor bitsets over the edges seen
     owned: dict[int, int] = {}  # pivot position -> its reduced column
     first = next((p for p, t in enumerate(in_tree) if not t), m)
-    triangles: list[tuple[int, int, int]] = []
-    triangle_ranks: list[int] = []
-    reduced: list[int] = []
+    triangle_counts: list[int] = []
+    columns: list[tuple[int, int]] = []
+    n_triangles = 0
     p = 0
     while p < m:
         r = edges[p][0]
@@ -201,25 +202,22 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
             p += 1
+        n_triangles += len(closing)
+        triangle_counts.append(n_triangles)
         closing.sort()
-        for tri, low in closing:
-            triangles.append(tri)
-            triangle_ranks.append(r)
-            col = 0
+        for (a, b, c), low in closing:
+            if low < first:
+                continue
+            col = (1 << pos[(a, b)]) | (1 << pos[(a, c)]) | (1 << pos[(b, c)])
+            while low >= first and low in owned:
+                col ^= owned[low]
+                low = col.bit_length() - 1
             if low >= first:
-                a, b, c = tri
-                col = (1 << pos[(a, b)]) | (1 << pos[(a, c)]) | (1 << pos[(b, c)])
-                while low >= first and low in owned:
-                    col ^= owned[low]
-                    low = col.bit_length() - 1
-                if low < first:
-                    col = 0
-                else:
-                    owned[low] = col
-                    # moves only once the position it names is a pivot
-                    while first < m and (in_tree[first] or first in owned):
-                        first += 1
-            reduced.append(col)
+                owned[low] = col
+                columns.append((r, col))
+                # moves only once the position it names is a pivot
+                while first < m and (in_tree[first] or first in owned):
+                    first += 1
 
     return FlagComplex2(
         epsilon=epsilon,
@@ -227,12 +225,11 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
         weights=weights,
         edge_ids=tuple(e[3] for e in edges),
         edge_ranks=tuple(e[0] for e in edges),
-        triangles=tuple(triangles),
-        triangle_ranks=tuple(triangle_ranks),
+        triangle_counts=tuple(triangle_counts),
         tree=tree,
         cycles=tuple(
             0 if in_tree[p] else path[u] ^ path[v] ^ (1 << p)
             for p, (_, u, v, _) in enumerate(edges)
         ),
-        reduced=tuple(reduced),
+        columns=tuple(columns),
     )

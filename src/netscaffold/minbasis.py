@@ -4,15 +4,16 @@ The pipeline per complex: enumerate Horton candidate cycles from
 per-vertex shortest-path trees, then select a minimum basis greedily in
 (length, edge ids) order, one length level at a time. A level's
 candidates are grouped by homology class (read off the complex's
-spanning forest and reduced triangle boundaries). Only the classes not
-spanned by the classes kept before the level can enter; their members
-alone are converted to edge ids, and they are tried in order of their
-smallest member, each kept when it is independent of the classes kept
-so far. Which cycles are kept depends only on that order, not on the
-class coordinates. Cycles tied at the minimal length within the same
-class are reported together as a variant set ("draws"). Ties *across*
-classes that make the chosen class set ambiguous come out of the same
-pass and are flagged as pathological, but never abort the run.
+spanning forest and its nonzero reduced triangle columns). Only the
+classes not spanned by the classes kept before the level can enter;
+their members alone are converted to edge ids, and they are tried in
+order of their smallest member, each kept when it is independent of
+the classes kept so far. Which cycles are kept depends only on that
+order, not on the class coordinates. Cycles tied at the minimal length
+within the same class are reported together as a variant set
+("draws"). Ties *across* classes that make the chosen class set
+ambiguous come out of the same pass and are flagged as pathological,
+but never abort the run.
 
 Along a filtration the candidates and classes come from one
 ``HortonSweep`` over ascending prefix views of the full complex. It
@@ -22,12 +23,11 @@ known to be boundaries grouped by length. It updates each root's
 shortest-path tree in place as a step's edges enter (a batched edge
 insertion in the manner of Ramalingam and Reps, J. Algorithms 1996),
 and tests again only the edges at a vertex whose tree path changed.
-It reduces
-each triangle boundary once, into classes whose coordinates are the
-non-tree edge positions, and retires the cycles found to be
-boundaries. The index at every step holds exactly the Horton pool of
-that step's complex plus its fundamental cycles, so the basis is the
-same as from a fresh search.
+It absorbs each nonzero reduced triangle column once, into classes
+whose coordinates are the non-tree edge positions, and retires the
+cycles found to be boundaries. The index at every step holds exactly
+the Horton pool of that step's complex plus its fundamental cycles, so
+the basis is the same as from a fresh search.
 
 Draw sets are draws within the Horton candidate pool; a tied
 representative that is not of shortest-path form is invisible here.
@@ -390,8 +390,8 @@ class HortonSweep:
 
     A sweep is built for the largest view it will see, its horizon: the
     mu weights of the horizon's edges are checked and scaled to integers
-    once. ``_take`` absorbs the triangle boundaries of a view that
-    extends the previous one, and ``_grow`` brings the pool index up to
+    once. ``_take`` absorbs the reduced triangle columns that a view
+    adds to the previous one, and ``_grow`` brings the pool index up to
     that view. For root v and edge (a,b) the Horton pool holds the tree
     paths v->a, v->b plus the edge, when the edge is not a tree edge and
     the paths meet only at v; each such (root, edge) hit is a source of
@@ -421,10 +421,10 @@ class HortonSweep:
     search of the view.
 
     Classes live in the coordinates of the horizon's non-tree positions,
-    which never change along the sweep. The sweep keeps every boundary
-    column it has seen, restricted to those positions, in fully reduced
-    echelon form (pivot position -> column): a new triangle's column is
-    reduced against the pivots, and its pivot is cleared from the older
+    which never change along the sweep. The sweep keeps every column it
+    has absorbed, restricted to those positions, in fully reduced
+    echelon form (pivot position -> column): a new column is reduced
+    against the pivots, and its pivot is cleared from the older
     columns. ``class_of`` is then canonical per class, and zero exactly
     for boundaries of the last view.
 
@@ -447,7 +447,7 @@ class HortonSweep:
         self._nt = ((1 << horizon.n_edges) - 1) ^ horizon.tree
         self._cols: dict[int, int] = {}  # pivot position -> boundary column
         self._pivots = 0  # bitset of the pivot positions
-        self._n_triangles = 0  # boundary columns absorbed so far
+        self._n_columns = 0  # reduced columns absorbed so far
         self._n_edges = 0  # edge positions in the adjacency so far
         self._ends = [horizon.edge_vertices(p) for p in range(horizon.n_edges)]
         self._adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
@@ -461,8 +461,8 @@ class HortonSweep:
         self.retested = self.rescan = 0  # edges tested on a new tree, all edges
 
     def _take(self, cx: FlagComplex2) -> int:
-        """Check that cx extends the last view, absorb its new triangle
-        boundaries, and return its beta1."""
+        """Check that cx extends the last view, absorb its new reduced
+        triangle columns, and return its beta1."""
         h = self.horizon
         if cx.graph is not h.graph and cx.graph != h.graph:
             raise ValueError("complex is not a view of the sweep's graph")
@@ -474,7 +474,7 @@ class HortonSweep:
             raise ValueError(f"view at {cx.epsilon} is past the horizon {h.epsilon}")
         self.epsilon = cx.epsilon
         cols, nt = self._cols, self._nt
-        for col in cx.reduced[self._n_triangles:]:
+        for _, col in cx.columns[self._n_columns:]:
             c = col & nt
             bits = c & self._pivots
             while bits:
@@ -489,7 +489,7 @@ class HortonSweep:
                         cols[q] = older ^ c
                 cols[p] = c
                 self._pivots |= bit
-        self._n_triangles = cx.n_triangles
+        self._n_columns = len(cx.columns)
         return cx.n_edges - cx.tree.bit_count() - len(cols)
 
     def class_of(self, mask: int) -> int:

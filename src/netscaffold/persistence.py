@@ -1,10 +1,12 @@
 """Persistent homology of graph filtrations in degrees 0 and 1.
 
 The bars are read off the filtration's full flag complex, which
-carries its spanning forest and its reduced triangle boundaries (see
-``complexes``). Each tree edge kills a vertex class. Each nonzero
-reduced triangle column kills the class born at its low, the column's
-last edge in filtration order, and the column is that bar's generator.
+carries its spanning forest and the triangle boundary columns that
+stay nonzero under reduction (see ``complexes``). Each tree edge kills
+a vertex class. Each such column kills the class born at its low, the
+column's last edge in filtration order, and the column is that bar's
+generator; a triangle whose column reduces to zero would only start a
+dim-2 class, so the complex keeps none of those.
 Each non-tree edge no column kills is born essential, with its
 fundamental cycle as generator. Zero-persistence pairs are dropped
 (exact equality, no tolerance). The Betti numbers at a step are the
@@ -73,9 +75,7 @@ def compute_persistence(f: Filtration) -> Barcode:
         * (g.n_vertices - cx.tree.bit_count())
     )
     killed: set[int] = set()
-    for col, r in zip(cx.reduced, cx.triangle_ranks):
-        if not col:
-            continue  # zero triangle columns would be essential dim-2
+    for r, col in cx.columns:
         p = col.bit_length() - 1  # its low
         killed.add(p)
         birth, death = cx.edge_weight(p), cx.weights[r]

@@ -55,9 +55,13 @@ PROVENANCES = ("loose", "minimal", "minimal_with_draws")
 
 @dataclass(frozen=True)
 class Scaffold:
-    """Edge-weight summary of a filtration's homology generators."""
+    """Edge-weight summary of a filtration's homology generators.
 
-    provenance: str
+    ``provenance`` names the variant that made it, or is None when that
+    was not recorded, as for a scaffold read back from CSV.
+    """
+
+    provenance: str | None
     n_vertices: int
     edge_weights: tuple[tuple[int, int, Fraction], ...]  # sorted, nonzero
     beta1_profile: tuple[tuple[Fraction, int], ...]  # (step, live dim-1 bars)
@@ -65,7 +69,7 @@ class Scaffold:
     variant_histogram: tuple[tuple[int, int], ...] = ()  # (set size, count)
 
     def __post_init__(self) -> None:
-        if self.provenance not in PROVENANCES:
+        if self.provenance is not None and self.provenance not in PROVENANCES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
 
     @property
@@ -274,29 +278,44 @@ def scaffold_to_csv(s: Scaffold) -> str:
 
 
 def parse_scaffold_csv(text: str, n_vertices: int | None = None) -> Scaffold:
-    """Read a scaffold CSV back; provenance is not stored in the file.
+    """Read a scaffold CSV back; provenance is not stored in the file,
+    so it comes back None.
 
     Vertex count defaults to max id + 1; pass n_vertices when isolated
-    trailing vertices matter.
+    trailing vertices matter. A row must name a vertex pair u < v, with
+    ids from 0, at most once, and a positive weight with a nonzero
+    denominator; anything else raises ValueError.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "u,v,weight_decimal,weight_num,weight_den":
         raise ValueError("not a scaffold CSV (bad header)")
-    acc: list[tuple[int, int, Fraction]] = []
-    max_id = -1
+    acc: dict[tuple[int, int], Fraction] = {}
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 5:
             raise ValueError(f"bad scaffold row {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
-        w = Fraction(int(parts[3]), int(parts[4]))
-        acc.append((u, v, w))
-        max_id = max(max_id, u, v)
-    n = max_id + 1 if n_vertices is None else n_vertices
+        u, v, num, den = (int(parts[i]) for i in (0, 1, 3, 4))
+        if not 0 <= u < v:
+            raise ValueError(f"bad scaffold row {ln!r}: needs 0 <= u < v")
+        if den == 0:
+            raise ValueError(f"bad scaffold row {ln!r}: zero denominator")
+        if (u, v) in acc:
+            raise ValueError(f"bad scaffold row {ln!r}: edge ({u}, {v}) repeats")
+        w = Fraction(num, den)
+        if w <= 0:
+            raise ValueError(f"bad scaffold row {ln!r}: weight must be positive")
+        acc[(u, v)] = w
+    n = max((v + 1 for _, v in acc), default=0)
+    if n_vertices is not None:
+        if n_vertices < n:
+            raise ValueError(
+                f"n_vertices={n_vertices}, but the scaffold names vertex {n - 1}"
+            )
+        n = n_vertices
     return Scaffold(
-        provenance="loose",  # unknown from file; caller may not care
+        provenance=None,
         n_vertices=n,
-        edge_weights=tuple(sorted(acc)),
+        edge_weights=tuple((u, v, w) for (u, v), w in sorted(acc.items())),
         beta1_profile=(),
     )
 

@@ -9,10 +9,12 @@ search and one back-eliminated boundary reduction per complex instead
 of a sweep along the filtration, a basis selection that converts
 every candidate and tests independence by rank, and Brandes'
 betweenness and closeness on ``Fraction`` lengths instead of
-integer-scaled ones. ``reference_reduced`` does use highest-bit pivots, because the left-to-right reduction is
-what it pins down: it rebuilds the boundary columns by scanning the
-edges and reduces every column to the end, with no pivot bound. Slow
-on purpose; only run on small inputs.
+integer-scaled ones. ``reference_reduced`` does use highest-bit
+pivots, because the left-to-right reduction is what it pins down: it
+rebuilds the triangles by brute force (``triangle_order``), their
+boundary columns by scanning the edges, and reduces every column to
+the end, with no pivot bound. Slow on purpose; only run on small
+inputs.
 
 The exceptions are the adapters at the end, which only reshape what
 the package returns: the Horton pool that a sweep's trees give, the
@@ -106,11 +108,26 @@ def edge_position(cx, u: int, v: int) -> int:
     raise KeyError(pair)
 
 
+def triangle_order(cx) -> list[tuple[int, tuple[int, int, int]]]:
+    """Every triangle of a flag complex as (rank, vertex triple), in the
+    order its boundary columns are reduced. A triangle's rank is the
+    index of its largest edge weight among the distinct weights of the
+    complex's edges; ties go by vertex triple. Built by brute force from
+    the graph and the threshold, not from the complex's own fields."""
+    g, eps = cx.graph, cx.epsilon
+    weight = {(u, v): w for u, v, w in g.edges if w <= eps}
+    rank = {w: r for r, w in enumerate(sorted(set(weight.values())))}
+    return sorted(
+        (rank[max(weight[(a, b)], weight[(a, c)], weight[(b, c)])], (a, b, c))
+        for a, b, c in flag_triangles(g.n_vertices, list(g.edges), eps)
+    )
+
+
 def boundary_columns(cx, k: int) -> list[int]:
     """Boundary operator of a flag complex in degree k, as bitset columns.
 
     k=1: one column per edge position, over the vertices. k=2: one
-    column per triangle, over the edge positions.
+    column per triangle in ``triangle_order``, over the edge positions.
     """
     if k == 1:
         return [
@@ -122,7 +139,7 @@ def boundary_columns(cx, k: int) -> list[int]:
             (1 << edge_position(cx, a, b))
             | (1 << edge_position(cx, a, c))
             | (1 << edge_position(cx, b, c))
-            for a, b, c in cx.triangles
+            for _, (a, b, c) in triangle_order(cx)
         ]
     raise ValueError(f"boundary degree must be 1 or 2, got {k}")
 
@@ -131,8 +148,8 @@ def reference_reduced(cx) -> tuple[int, ...]:
     """Plain left-to-right Z2 reduction of a complex's triangle boundary
     columns, rebuilt from its triangles: while column j shares its
     highest set bit with an earlier column, that column is added, down
-    to zero or a pivot of its own. No early exit and no skipped column,
-    so it is what ``FlagComplex2.reduced`` must equal exactly."""
+    to zero or a pivot of its own. No early exit and no skipped column:
+    one column per triangle, zero or not."""
     cols = boundary_columns(cx, 2)
     owner: dict[int, int] = {}
     for j in range(len(cols)):
@@ -143,6 +160,17 @@ def reference_reduced(cx) -> tuple[int, ...]:
                 break
             cols[j] ^= cols[owner[piv]]
     return tuple(cols)
+
+
+def reference_columns(cx) -> tuple[tuple[int, int], ...]:
+    """The (rank, column) pairs of the nonzero columns of
+    ``reference_reduced``, in triangle order: exactly what
+    ``FlagComplex2.columns`` must hold."""
+    return tuple(
+        (rank, col)
+        for (rank, _), col in zip(triangle_order(cx), reference_reduced(cx))
+        if col
+    )
 
 
 def _bfs_tree(n: int, pairs: list[tuple[int, int]]) -> tuple[list[int], list[int]]:
@@ -245,16 +273,17 @@ def make_residue_fn(boundary_masks: list[int]):
 def back_eliminated_classes(cx):
     """Beta1 of one complex and its class function, from scratch.
 
-    The complex's reduced triangle boundaries, restricted to its
-    non-tree positions, are back-eliminated until each pivot row lives
-    in its own column only; the free rows then number the beta1
-    coordinates, and a pivot edge's class is the rest of its column.
+    The nonzero columns of the plain reduction of the complex's triangle
+    boundaries (``reference_reduced``), restricted to its non-tree
+    positions, are back-eliminated until each pivot row lives in its own
+    column only; the free rows then number the beta1 coordinates, and a
+    pivot edge's class is the rest of its column.
     The class of a cycle (a bitset of edge positions) is the XOR of its
     edges' classes. This is how the library annotated every step before
     its sweep kept the reduction from step to step.
     """
     nt_mask = ((1 << cx.n_edges) - 1) ^ cx.tree
-    cols = [c & nt_mask for c in cx.reduced if c]
+    cols = [c & nt_mask for c in reference_reduced(cx) if c]
     pivots = {c.bit_length() - 1: j for j, c in enumerate(cols)}
     for p in sorted(pivots, reverse=True):
         j = pivots[p]

@@ -83,6 +83,7 @@ class TestGenerate:
     @pytest.mark.parametrize(
         "argv, config",
         [
+            ([], None),
             (["--model", "ws", "--n", "10"], None),
             ([], [1]),
             ([], {"model": "ws", "params": [1]}),
@@ -94,6 +95,7 @@ class TestGenerate:
             ([], {"model": "ws", "params": {"n": 10**12, "k": 4, "p": 0.1}}),
         ],
         ids=[
+            "no_model",
             "flag_missing_k_p",
             "config_not_object",
             "config_params_not_object",

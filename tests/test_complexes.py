@@ -1,6 +1,7 @@
 """Flag complex construction against brute-force triangle enumeration."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,9 @@ from .oracles import (
     edge_position,
     flag_triangles,
     gf2_rank_lowbit,
+    reference_columns,
     reference_reduced,
+    triangle_order,
 )
 
 
@@ -30,18 +33,24 @@ class TestUnitSquare:
     def test_below_diagonal_threshold(self, unit_square):
         cx = flag_complex_at(unit_square, Fraction(1))
         assert cx.n_edges == 4
-        assert cx.triangles == ()
+        assert cx.n_triangles == 0
+        assert cx.columns == ()
 
     def test_at_diagonal_threshold(self, unit_square):
         cx = flag_complex_at(unit_square, SQRT2)
         assert cx.n_edges == 6
-        assert cx.triangles == ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+        assert cx.n_triangles == 4
+        assert [t for _, t in triangle_order(cx)] == [
+            (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)
+        ]
+        # the last of the four boundaries is the sum of the other three
+        assert len(cx.columns) == 3
 
     def test_triangle_value_is_max_edge(self, unit_square):
         cx = flag_complex_at(unit_square, SQRT2)
         assert cx.weights == (Fraction(1), SQRT2)
-        assert cx.triangles[0] == (0, 1, 2)
-        assert cx.weights[cx.triangle_ranks[0]] == SQRT2
+        assert cx.triangle_counts == (0, 4)
+        assert [cx.weights[r] for r, _ in cx.columns] == [SQRT2] * 3
 
 
 class TestDeterministicOrder:
@@ -98,12 +107,13 @@ class TestAlongFiltration:
         for eps in f.steps:
             view = full.at(eps)
             assert view == flag_complex_at(g, eps)
-            assert sorted(view.triangles) == flag_triangles(
-                g.n_vertices, list(g.edges), eps
+            assert view.n_triangles == len(
+                flag_triangles(g.n_vertices, list(g.edges), eps)
             )
             # every simplex sits where it sits in the full complex
             assert view.edge_ids == full.edge_ids[: view.n_edges]
-            assert view.triangles == full.triangles[: view.n_triangles]
+            assert view.columns == full.columns[: len(view.columns)]
+            assert view.triangle_counts == full.triangle_counts[: len(view.weights)]
             for p in range(view.n_edges):
                 assert edge_position(view, *view.edge_vertices(p)) == p
             for p in range(view.n_edges, full.n_edges):
@@ -111,7 +121,7 @@ class TestAlongFiltration:
                     edge_position(view, *full.edge_vertices(p))
             if previous is not None:
                 assert view.edge_ids[: previous.n_edges] == previous.edge_ids
-                assert view.triangles[: previous.n_triangles] == previous.triangles
+                assert view.columns[: len(previous.columns)] == previous.columns
             previous = view
 
 
@@ -193,15 +203,16 @@ class TestForestAndReduction:
                 assert boundary == 0
 
             d2 = boundary_columns(cx, 2)
-            assert cx.reduced == reference_reduced(cx)
-            assert len(cx.reduced) == cx.n_triangles
-            nonzero = [c for c in cx.reduced if c]
-            lows = [c.bit_length() - 1 for c in nonzero]
+            reduced = reference_reduced(cx)
+            assert cx.columns == reference_columns(cx)
+            assert cx.n_triangles == len(d2)
+            lows = [c.bit_length() - 1 for _, c in cx.columns]
             assert len(set(lows)) == len(lows)
             assert not set(lows) & set(tree)
-            assert len(nonzero) == gf2_rank_lowbit(d2)
+            assert len(cx.columns) == gf2_rank_lowbit(d2)
+            assert len(cx.columns) <= cx.n_edges - len(tree)
             # column t only ever gained earlier boundary columns
-            for t, col in enumerate(cx.reduced):
+            for t, col in enumerate(reduced):
                 assert gf2_rank_lowbit(d2[:t] + [col ^ d2[t]]) == gf2_rank_lowbit(
                     d2[:t]
                 )
@@ -230,11 +241,29 @@ def test_reduction_matches_plain_reduction_on_complete_graphs(n, kind):
     full = flag_complex_at(g, f.steps[-1])
     for eps in f.steps:
         view = full.at(eps)
-        assert view.reduced == reference_reduced(view)
+        assert view.columns == reference_columns(view)
+        assert view.n_triangles == len(flag_triangles(n, list(g.edges), eps))
     # a full simplex has no 1-cycle left: each non-tree edge is a pivot
     m = n * (n - 1) // 2
-    assert sum(1 for c in full.reduced if c) == m - (n - 1)
+    assert len(full.columns) == m - (n - 1)
     assert full.n_triangles == n * (n - 1) * (n - 2) // 6
+
+
+def test_complete_graph_complex_keeps_no_per_triangle_data():
+    # K_60 has 34220 triangles but only 1711 nonzero reduced columns;
+    # a triple, a rank and a column slot per triangle, about 88 bytes,
+    # would alone take the complex past the bound
+    g = complete_graph(60, "distinct")
+    eps = max(w for _, _, w in g.edges)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cx = flag_complex_at(g, eps)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert (cx.n_triangles, len(cx.columns)) == (34220, 1711)
+    assert kept < 2 << 20
 
 
 @st.composite
@@ -259,20 +288,23 @@ def graph_and_eps(draw):
 def test_triangles_match_bruteforce(case):
     g, eps = case
     cx = flag_complex_at(g, eps)
-    assert sorted(cx.triangles) == flag_triangles(g.n_vertices, list(g.edges), eps)
+    triangles = flag_triangles(g.n_vertices, list(g.edges), eps)
+    assert cx.n_triangles == len(triangles)
     # ranks index the distinct weights present
     assert list(cx.weights) == sorted({cx.edge_weight(p) for p in range(cx.n_edges)})
     for p in range(cx.n_edges):
         assert cx.edge_weight(p) <= eps
         assert cx.weights[cx.edge_ranks[p]] == cx.edge_weight(p)
-    # ordered by appearance value, vertex triple breaking ties
+    # a triangle appears at its largest edge weight
     values = [
         max(cx.edge_weight(edge_position(cx, a, b)) for a, b in member_edges(t))
-        for t in cx.triangles
+        for t in triangles
     ]
-    keys = list(zip(values, cx.triangles))
-    assert keys == sorted(keys)
-    assert [cx.weights[r] for r in cx.triangle_ranks] == values
+    assert list(cx.triangle_counts) == [
+        sum(1 for v in values if v <= w) for w in cx.weights
+    ]
+    ranks = [r for r, _ in cx.columns]
+    assert ranks == sorted(ranks)
 
 
 @given(graph_and_eps())
@@ -280,9 +312,9 @@ def test_triangles_match_bruteforce(case):
 def test_triangle_values_dominate_member_edges(case):
     g, eps = case
     cx = flag_complex_at(g, eps)
-    for t, rank in zip(cx.triangles, cx.triangle_ranks):
+    # a reduced column adds only columns of triangles that came before
+    for rank, col in cx.columns:
         val = cx.weights[rank]
-        for a, b in member_edges(t):
-            p = edge_position(cx, a, b)
+        for p in positions(col):
             assert cx.edge_ranks[p] <= rank
             assert cx.edge_weight(p) <= val

@@ -129,7 +129,7 @@ class TestAnnotations:
         cx = full_complex(g)
         _, ann = annotate_edges(cx)
         index = {(u, v): i for i, (u, v, _) in enumerate(g.edges)}
-        for a, b, d in cx.triangles:
+        for a, b, d in flag_triangles(g.n_vertices, list(g.edges), cx.epsilon):
             assert ann[index[(a, b)]] ^ ann[index[(a, d)]] ^ ann[index[(b, d)]] == 0
 
     @pytest.mark.parametrize("seed", range(10))

@@ -357,6 +357,41 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="row"):
             parse_scaffold_csv(good + "0,1,0.5\n")
 
+    HEADER = "u,v,weight_decimal,weight_num,weight_den\n"
+
+    def test_provenance_is_not_recorded(self):
+        s = parse_scaffold_csv(self.HEADER + "0,1,1.0,1,1\n")
+        assert s.provenance is None
+        assert scaffold_report(s)["provenance"] is None
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_scaffold_csv(self.HEADER + "0,1,inf,1,0\n")
+
+    def test_negative_id_raises(self):
+        with pytest.raises(ValueError, match="0 <= u < v"):
+            parse_scaffold_csv(self.HEADER + "-1,1,1.0,1,1\n")
+
+    @pytest.mark.parametrize("row", ["1,1,1.0,1,1", "2,1,1.0,1,1"])
+    def test_unordered_pair_raises(self, row):
+        with pytest.raises(ValueError, match="0 <= u < v"):
+            parse_scaffold_csv(self.HEADER + row + "\n")
+
+    @pytest.mark.parametrize("row", ["0,1,0.0,0,1", "0,1,-0.5,1,-2"])
+    def test_weight_not_positive_raises(self, row):
+        with pytest.raises(ValueError, match="positive"):
+            parse_scaffold_csv(self.HEADER + row + "\n")
+
+    def test_duplicate_pair_raises(self):
+        with pytest.raises(ValueError, match="repeats"):
+            parse_scaffold_csv(self.HEADER + "0,1,1.0,1,1\n0,1,0.5,1,2\n")
+
+    def test_vertex_count_below_max_id_raises(self):
+        text = self.HEADER + "0,3,1.0,1,1\n"
+        assert parse_scaffold_csv(text, n_vertices=4).n_vertices == 4
+        with pytest.raises(ValueError, match="names vertex 3"):
+            parse_scaffold_csv(text, n_vertices=3)
+
 
 class TestReport:
     def test_report_shape(self, theta_graph):
