@@ -41,7 +41,7 @@ from .scaffold import (
     scaffold_to_csv,
     step_bases,
 )
-from .stats import aggregate_comparisons, compare_scaffolds
+from .stats import VERTEX_METRICS, aggregate_comparisons, compare_scaffolds
 
 EXIT_OK = 0
 EXIT_IO = 3
@@ -215,12 +215,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         rep = _compare_one(g, use_nulls, seed + 10_000, workers)
         reports.append(rep)
-        for metric, entry in rep.metrics.items():
-            for slot, statsrow in entry.items():
-                if statsrow is None or not isinstance(statsrow, dict):
-                    continue
-                if "pearson" not in statsrow:
-                    continue  # edge_weight nests one level deeper
+        for metric in VERTEX_METRICS:
+            for slot, statsrow in rep.metrics[metric].items():
                 rows.append(
                     f"{i},{metric},{slot},{statsrow['pearson']},"
                     f"{statsrow['spearman']},{statsrow['ks_stat']},"

@@ -462,7 +462,9 @@ class HortonSweep:
 
     def _take(self, cx: FlagComplex2) -> int:
         """Check that cx extends the last view, absorb its new reduced
-        triangle columns, and return its beta1."""
+        triangle columns, and return its beta1. Lows are distinct non-tree
+        positions and pivots are older lows, so reducing a column flips only
+        bits below its low: it is never 0, and its pivot is its low."""
         h = self.horizon
         if cx.graph is not h.graph and cx.graph != h.graph:
             raise ValueError("complex is not a view of the sweep's graph")
@@ -481,14 +483,13 @@ class HortonSweep:
                 lsb = bits & -bits
                 c ^= cols[lsb.bit_length() - 1]
                 bits ^= lsb
-            if c:
-                p = c.bit_length() - 1
-                bit = 1 << p
-                for q, older in cols.items():
-                    if older & bit:
-                        cols[q] = older ^ c
-                cols[p] = c
-                self._pivots |= bit
+            p = c.bit_length() - 1
+            bit = 1 << p
+            for q, older in cols.items():
+                if older & bit:
+                    cols[q] = older ^ c
+            cols[p] = c
+            self._pivots |= bit
         self._n_columns = len(cx.columns)
         return cx.n_edges - cx.tree.bit_count() - len(cols)
 

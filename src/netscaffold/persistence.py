@@ -9,13 +9,15 @@ generator; a triangle whose column reduces to zero would only start a
 dim-2 class, so the complex keeps none of those.
 Each non-tree edge no column kills is born essential, with its
 fundamental cycle as generator. Zero-persistence pairs are dropped
-(exact equality, no tolerance). The Betti numbers at a step are the
-bars alive there (``bars_alive_at``).
+(exact equality, no tolerance). The Betti numbers at a list of steps
+are the bars alive at each, counted in one batch (``bars_alive_at``).
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -103,13 +105,13 @@ def compute_persistence(f: Filtration) -> Barcode:
     return Barcode(pairs=tuple(pairs), complex=cx)
 
 
-def bars_alive_at(barcode: Barcode, eps: Fraction, dim: int) -> int:
-    """Bars with birth <= eps < death (death None counts as infinite)."""
-    return sum(
-        1
-        for p in barcode.in_dim(dim)
-        if p.birth <= eps and (p.death is None or p.death > eps)
-    )
+def bars_alive_at(barcode: Barcode, steps: Sequence[Fraction], dim: int) -> list[int]:
+    """Per eps in steps, the bars with birth <= eps < death (death None
+    counts as infinite): those born by eps less those dead by eps."""
+    bars = barcode.in_dim(dim)
+    births = sorted(p.birth for p in bars)
+    deaths = sorted(p.death for p in bars if p.death is not None)
+    return [bisect_right(births, eps) - bisect_right(deaths, eps) for eps in steps]
 
 
 def barcode_to_csv(barcode: Barcode) -> str:

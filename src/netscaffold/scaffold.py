@@ -25,6 +25,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 
 from .complexes import FlagComplex2
@@ -76,6 +77,15 @@ class Scaffold:
     def n_scaffold_edges(self) -> int:
         return len(self.edge_weights)
 
+    @cached_property
+    def strength(self) -> dict[int, Fraction]:
+        """Incident weight per vertex (0 if untouched), summed once; read-only."""
+        strength = dict.fromkeys(range(self.n_vertices), Fraction(0))
+        for u, v, w in self.edge_weights:
+            strength[u] += w
+            strength[v] += w
+        return strength
+
 
 def _finalize(
     acc: dict[tuple[int, int], Fraction],
@@ -113,9 +123,7 @@ def loose_scaffold(
         provenance="loose",
         n_vertices=g.n_vertices,
         edge_weights=_finalize(acc),
-        beta1_profile=tuple(
-            (eps, bars_alive_at(barcode, eps, 1)) for eps in f.steps
-        ),
+        beta1_profile=tuple(zip(f.steps, bars_alive_at(barcode, f.steps, 1))),
     )
 
 
@@ -181,7 +189,7 @@ def step_bases(
     """
     _check_barcode(f, barcode)
     cx = barcode.complex
-    active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
+    active = [eps for eps, b in zip(f.steps, bars_alive_at(barcode, f.steps, 1)) if b]
     if not active:
         return []
     k = min(max(workers, 1), len(active))
@@ -249,12 +257,8 @@ def minimal_scaffold_with_draws(
 
 
 def node_strength(s: Scaffold) -> dict[int, Fraction]:
-    """Sum of incident scaffold weights, for every vertex (0 if untouched)."""
-    strength = {v: Fraction(0) for v in range(s.n_vertices)}
-    for u, v, w in s.edge_weights:
-        strength[u] += w
-        strength[v] += w
-    return strength
+    """A copy of ``s.strength``: incident scaffold weight per vertex."""
+    return dict(s.strength)
 
 
 def rank_nodes(s: Scaffold) -> list[tuple[int, float]]:
@@ -262,9 +266,8 @@ def rank_nodes(s: Scaffold) -> list[tuple[int, float]]:
     relative to the mean over all vertices. Errors on empty scaffolds."""
     if not s.edge_weights:
         raise ValueError("cannot rank nodes of an empty scaffold")
-    strength = node_strength(s)
-    total = sum(strength.values(), Fraction(0))
-    mean = total / s.n_vertices
+    strength = s.strength
+    mean = sum(strength.values(), Fraction(0)) / s.n_vertices
     order = sorted(strength, key=lambda v: (-strength[v], v))
     return [(v, float(strength[v] / mean)) for v in order]
 
@@ -284,7 +287,8 @@ def parse_scaffold_csv(text: str, n_vertices: int | None = None) -> Scaffold:
     Vertex count defaults to max id + 1; pass n_vertices when isolated
     trailing vertices matter. A row must name a vertex pair u < v, with
     ids from 0, at most once, and a positive weight with a nonzero
-    denominator; anything else raises ValueError.
+    denominator, whose weight_decimal is ``repr(float(weight))``;
+    anything else raises ValueError.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "u,v,weight_decimal,weight_num,weight_den":
@@ -304,6 +308,12 @@ def parse_scaffold_csv(text: str, n_vertices: int | None = None) -> Scaffold:
         w = Fraction(num, den)
         if w <= 0:
             raise ValueError(f"bad scaffold row {ln!r}: weight must be positive")
+        try:
+            decimal = repr(float(w))
+        except OverflowError:  # no float is that large
+            decimal = None
+        if parts[2].strip() != decimal:
+            raise ValueError(f"bad scaffold row {ln!r}: weight_decimal does not match")
         acc[(u, v)] = w
     n = max((v + 1 for _, v in acc), default=0)
     if n_vertices is not None:
@@ -340,7 +350,5 @@ def scaffold_report(s: Scaffold) -> dict:
         ],
     }
     if s.edge_weights:
-        report["ranking_top10"] = [
-            [v, rel] for v, rel in rank_nodes(s)[:10]
-        ]
+        report["ranking_top10"] = [[v, rel] for v, rel in rank_nodes(s)[:10]]
     return report

@@ -474,7 +474,7 @@ def _factor_correlation(n, seed):
 def _mean_beta1(mat):
     f = build_filtration(correlation_graph(mat))
     barcode = compute_persistence(f)
-    return sum(bars_alive_at(barcode, eps, 1) for eps in f.steps) / len(f.steps)
+    return sum(bars_alive_at(barcode, f.steps, 1)) / len(f.steps)
 
 
 def _criterion7_one(seed):

@@ -15,7 +15,7 @@ from netscaffold.cli import (
 )
 from netscaffold.graph import GraphFormatError, parse_edge_list, serialize_edge_list
 from netscaffold.randnet import gen_er_null, gen_ws_weighted
-from netscaffold.scaffold import parse_scaffold_csv
+from netscaffold.scaffold import Scaffold, parse_scaffold_csv
 
 
 def write_graph(tmp_path, g, name="net.edges"):
@@ -143,6 +143,35 @@ class TestScaffoldCommand:
             "minimal_draws_ranking.csv", "report.json",
         ):
             assert (outdir / f"net_{suffix}").exists(), suffix
+
+    def test_all_sums_each_scaffold_strength_once(
+        self, tmp_path, diamond_with_tail, monkeypatch
+    ):
+        path = write_graph(tmp_path, diamond_with_tail)
+
+        def run(outdir):
+            argv = ["scaffold", "--input", str(path), "--output-dir", str(outdir)]
+            assert main(argv) == EXIT_OK
+            names = ("loose", "minimal", "minimal_draws")
+            files = [f"net_{name}_ranking.csv" for name in names] + ["net_report.json"]
+            return {f: (outdir / f).read_bytes() for f in files}
+
+        kept = Scaffold.__dict__["strength"]
+        summed = kept.func
+        # the reference sums the strengths again at every read
+        monkeypatch.setattr(Scaffold, "strength", property(summed))
+        want = run(tmp_path / "ref")
+        monkeypatch.setattr(Scaffold, "strength", kept)
+
+        sums = []
+
+        def counted(s):
+            sums.append(s.provenance)
+            return summed(s)
+
+        monkeypatch.setattr(kept, "func", counted)
+        assert run(tmp_path / "out") == want
+        assert sorted(sums) == ["loose", "minimal", "minimal_with_draws"]
 
     def test_minimal_csv_content(self, tmp_path, theta_graph):
         _, outdir = self.run_on(tmp_path, theta_graph)

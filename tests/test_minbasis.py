@@ -598,7 +598,8 @@ def assert_sweep_matches_fresh_search(g, mu):
     f = build_filtration(g)
     barcode = compute_persistence(f)
     cx = barcode.complex
-    active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
+    live = bars_alive_at(barcode, f.steps, 1)
+    active = [eps for eps, b in zip(f.steps, live) if b > 0]
     assert step_bases(f, barcode, mu) == [
         (eps, min_basis_with_draws(cx.at(eps), mu)) for eps in active
     ]
@@ -629,7 +630,8 @@ def assert_classes_match_back_elimination(g, mu):
     f = build_filtration(g)
     barcode = compute_persistence(f)
     cx = barcode.complex
-    active = [eps for eps in f.steps if bars_alive_at(barcode, eps, 1) > 0]
+    live = bars_alive_at(barcode, f.steps, 1)
+    active = [eps for eps, b in zip(f.steps, live) if b > 0]
     for steps in (active, f.steps):
         if not steps:
             continue
@@ -644,6 +646,10 @@ def assert_classes_match_back_elimination(g, mu):
             # taking the same view again changes nothing
             for _ in range(2):
                 assert sweep._take(view) == beta1
+                # every column is kept, with its low as its pivot
+                lows = {col.bit_length() - 1 for _, col in view.columns}
+                assert set(sweep._cols) == lows
+                assert sweep._pivots == sum(1 << p for p in lows)
                 sweep._grow(view)
                 pool = sweep_pool(sweep, view)
                 # sweep class -> oracle class must be a bijection

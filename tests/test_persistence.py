@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netscaffold.complexes import flag_complex_at
 from netscaffold.graph import build_filtration, make_graph
@@ -17,6 +19,7 @@ from netscaffold.persistence import (
 
 from .conftest import SQRT2
 from .oracles import betti1_oracle, components_bfs
+from .test_complexes import tied_graph
 
 
 class TestUnitSquare:
@@ -109,9 +112,9 @@ class TestAliveCounts:
         barcode = compute_persistence(f)
         for eps in f.steps:
             kept = [(u, v) for u, v, w in g.edges if w <= eps]
-            assert bars_alive_at(barcode, eps, 0) == components_bfs(
-                g.n_vertices, kept
-            )
+            assert bars_alive_at(barcode, [eps], 0) == [
+                components_bfs(g.n_vertices, kept)
+            ]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_dim1_matches_euler_oracle(self, seed):
@@ -120,14 +123,37 @@ class TestAliveCounts:
         barcode = compute_persistence(f)
         for eps in f.steps:
             want = betti1_oracle(g.n_vertices, list(g.edges), eps)
-            assert bars_alive_at(barcode, eps, 1) == want
+            assert bars_alive_at(barcode, [eps], 1) == [want]
             assert annotate_edges(flag_complex_at(g, eps))[0] == want
 
     def test_alive_respects_half_open_interval(self, unit_square):
         barcode = compute_persistence(build_filtration(unit_square))
-        assert bars_alive_at(barcode, Fraction(1, 2), 1) == 0
-        assert bars_alive_at(barcode, Fraction(1), 1) == 1
-        assert bars_alive_at(barcode, SQRT2, 1) == 0
+        assert bars_alive_at(barcode, [Fraction(1, 2)], 1) == [0]
+        assert bars_alive_at(barcode, [Fraction(1)], 1) == [1]
+        assert bars_alive_at(barcode, [SQRT2], 1) == [0]
+
+    @given(tied_graph(), st.randoms(use_true_random=False))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_matches_brute_force_count(self, g, rng):
+        f = build_filtration(g)
+        barcode, steps = compute_persistence(f), f.steps
+        # below the first step, on and between steps, past the last;
+        # in any order, repeats included
+        thresholds = [steps[0] - 1, *steps, steps[-1] + 1]
+        thresholds += [(a + b) / 2 for a, b in zip(steps, steps[1:])]
+        thresholds += rng.choices(thresholds, k=3)
+        rng.shuffle(thresholds)
+        for dim in (0, 1):
+            want = [
+                sum(
+                    1
+                    for p in barcode.in_dim(dim)
+                    if p.birth <= eps and (p.death is None or eps < p.death)
+                )
+                for eps in thresholds
+            ]
+            assert bars_alive_at(barcode, thresholds, dim) == want
+        assert bars_alive_at(barcode, [], 1) == []
 
 
 class TestGenerators:

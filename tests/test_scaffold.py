@@ -382,6 +382,16 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="positive"):
             parse_scaffold_csv(self.HEADER + row + "\n")
 
+    def test_decimal_that_does_not_match_the_weight_raises(self):
+        assert parse_scaffold_csv(self.HEADER + "0,1,1.0,1,1\n").edge_weights == (
+            (0, 1, Fraction(1)),
+        )
+        with pytest.raises(ValueError, match="weight_decimal does not match"):
+            parse_scaffold_csv(self.HEADER + "0,1,5.0,1,1\n")
+        # a weight past every float still fails as a bad row
+        with pytest.raises(ValueError, match="weight_decimal does not match"):
+            parse_scaffold_csv(self.HEADER + f"0,1,inf,{10**400},1\n")
+
     def test_duplicate_pair_raises(self):
         with pytest.raises(ValueError, match="repeats"):
             parse_scaffold_csv(self.HEADER + "0,1,1.0,1,1\n0,1,0.5,1,2\n")
