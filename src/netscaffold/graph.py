@@ -163,7 +163,10 @@ def parse_edge_list(text: str) -> WeightedGraph:
 
     Lines starting with ``#`` are comments. The first non-comment line
     may be a JSON object declaring ``n_vertices`` and optional
-    ``labels``; otherwise the vertex count is ``max id + 1``.
+    ``labels``; otherwise the vertex count is ``max id + 1``. Edge lines
+    are ASCII without ``_``, and vertex ids are digits only: Python's
+    number syntax would read ``1_0`` as 10, and a sign or any Unicode
+    digit as part of the number, turning a typo into a different graph.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -190,15 +193,18 @@ def parse_edge_list(text: str) -> WeightedGraph:
     triples: list[tuple[int, int, Fraction]] = []
     max_id = -1
     for ln in lines:
-        parts = [p.strip() for p in ln.split(",")]
+        if not ln.isascii() or "_" in ln:
+            raise GraphFormatError(f"non-ASCII character or '_' in {ln!r}")
+        parts = ln.split(",")
         if len(parts) != 3:
             raise GraphFormatError(f"expected 'u,v,w', got {ln!r}")
+        su, sv = parts[0].strip(), parts[1].strip()
+        if not (su.isdigit() and sv.isdigit()):
+            raise GraphFormatError(f"vertex ids must be digits in {ln!r}")
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"non-integer vertex id in {ln!r}") from None
-        if u < 0 or v < 0:
-            raise GraphFormatError(f"negative vertex id in {ln!r}")
+            u, v = int(su), int(sv)
+        except ValueError:  # past the int() digit limit
+            raise GraphFormatError(f"vertex id too long in {ln!r}") from None
         triples.append((u, v, as_weight(parts[2])))
         max_id = max(max_id, u, v)
 
@@ -217,12 +223,16 @@ def parse_adjacency(text: str) -> WeightedGraph:
 
     Zero entries mean "no edge". The diagonal must be zero. Asymmetry
     beyond 1e-12 is an error; below that the upper-triangle entry wins.
+    Rows are ASCII, and no entry may contain ``_``, which Python reads
+    as a digit separator.
     """
     rows: list[list[Fraction]] = []
     for ln in text.splitlines():
         ln = ln.strip()
         if not ln or ln.startswith("#"):
             continue
+        if not ln.isascii() or "_" in ln:
+            raise GraphFormatError(f"non-ASCII character or '_' in row {ln!r}")
         parts = [p for p in (ln.split(",") if "," in ln else ln.split()) if p.strip()]
         rows.append([as_weight(p) for p in parts])
     n = len(rows)

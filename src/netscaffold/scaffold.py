@@ -287,8 +287,9 @@ def parse_scaffold_csv(text: str, n_vertices: int | None = None) -> Scaffold:
     Vertex count defaults to max id + 1; pass n_vertices when isolated
     trailing vertices matter. A row must name a vertex pair u < v, with
     ids from 0, at most once, and a positive weight with a nonzero
-    denominator, whose weight_decimal is ``repr(float(weight))``;
-    anything else raises ValueError.
+    denominator, whose weight_decimal is ``repr(float(weight))``; u, v,
+    weight_num and weight_den are ASCII digits only. Anything else
+    raises ValueError.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "u,v,weight_decimal,weight_num,weight_den":
@@ -308,6 +309,11 @@ def parse_scaffold_csv(text: str, n_vertices: int | None = None) -> Scaffold:
         w = Fraction(num, den)
         if w <= 0:
             raise ValueError(f"bad scaffold row {ln!r}: weight must be positive")
+        # int() has read each of the four, so they are all digits when
+        # their concatenation is
+        digits = parts[0] + parts[1] + parts[3] + parts[4]
+        if not (digits.isdigit() and digits.isascii()):
+            raise ValueError(f"bad scaffold row {ln!r}: needs plain ASCII digits")
         try:
             decimal = repr(float(w))
         except OverflowError:  # no float is that large

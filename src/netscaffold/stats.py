@@ -8,9 +8,10 @@ summaries become floats.
 Correlations return None instead of NaN when an input vector is
 constant, and those pairs are excluded from aggregate means.
 
-Midranks are computed here with numpy. The KS p-value is the only use
-of scipy: ``ks_two_sample`` imports ``scipy.special.kolmogorov`` when
-it is first called, so importing this module loads no scipy.
+Midranks are computed here with numpy, and the Kolmogorov tail of the
+KS p-value in plain ``math``, following the two series of scipy's
+``scipy.special.kolmogorov`` operation for operation; both equal the
+scipy functions bit for bit, and no command loads scipy.
 """
 
 from __future__ import annotations
@@ -279,14 +280,53 @@ def spearman(x, y) -> float | None:
     return pearson(_midranks(x), _midranks(y))
 
 
+# at or below this x, pi^2 / (8 x^2) >= 746 and the Kolmogorov tail is 1.0
+_KOLMOGOROV_TINY = math.pi / math.sqrt(746 * 8)
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """P(K > x) for the Kolmogorov limiting distribution K.
+
+    The cephes evaluation that ``scipy.special.kolmogorov`` uses, with
+    its operations in the same order, so the two agree bit for bit. For
+    x <= 0.82 it sums the theta series in u = exp(-pi^2 / (8 x^2)) and
+    returns 1 - P; above, the alternating series in v = exp(-2 x^2),
+    4 terms. The result is clipped to [0, 1]; nan falls through every
+    comparison and comes back nan.
+    """
+    if x <= _KOLMOGOROV_TINY:
+        return 1.0
+    if x <= 0.82:
+        # P = w u (1 + u^8 + u^24 + u^48), w = sqrt(2 pi) / x
+        w = math.sqrt(2 * math.pi) / x
+        logu8 = -math.pi * math.pi / (x * x)
+        u = math.exp(logu8 / 8)
+        if u == 0:
+            p = math.exp(logu8 / 8 + math.log(w))
+        else:
+            u8 = math.exp(logu8)
+            p = 1 + u8**3
+            p = 1 + u8 * u8 * p
+            p = 1 + u8 * p
+            p = w * u * p
+        sf = 1 - p
+    else:
+        # sf = 2 v (1 - v^3 (1 - v^5 (1 - v^7)))
+        v = math.exp(-2 * x * x)
+        v3 = v**3
+        p = 1 - v3 * v3 * v
+        p = 1 - v3 * (v * v) * p
+        p = 1 - v3 * p
+        sf = 2 * v * p
+    return min(max(sf, 0.0), 1.0)
+
+
 def ks_two_sample(x, y) -> tuple[float, float]:
     """Two-sample KS statistic and asymptotic p-value.
 
     D is the exact sup-distance of the empirical CDFs; the p-value uses
     the Kolmogorov limiting distribution at sqrt(nx*ny/(nx+ny)) * D.
     """
-    from scipy.special import kolmogorov  # the only scipy use; see module doc
-
     x = np.sort(np.asarray(x, dtype=float))
     y = np.sort(np.asarray(y, dtype=float))
     nx, ny = x.size, y.size
@@ -297,8 +337,7 @@ def ks_two_sample(x, y) -> tuple[float, float]:
     cdf_y = np.searchsorted(y, grid, side="right") / ny
     d = float(np.max(np.abs(cdf_x - cdf_y)))
     n_eff = nx * ny / (nx + ny)
-    p = float(kolmogorov(math.sqrt(n_eff) * d))
-    return d, min(max(p, 0.0), 1.0)
+    return d, _kolmogorov_sf(math.sqrt(n_eff) * d)
 
 
 def _pair_stats(x, y) -> dict:

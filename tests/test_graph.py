@@ -126,6 +126,28 @@ class TestEdgeListFormat:
         with pytest.raises(GraphFormatError):
             parse_edge_list("-1,0,1\n")
 
+    @pytest.mark.parametrize("line", ["+0,1,2", "0,+1,2"])
+    def test_signed_id_rejected(self, line):
+        with pytest.raises(GraphFormatError, match="must be digits"):
+            parse_edge_list(line + "\n")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["0,1_0,2", "0,1,2_5", "0,\u0661,2", "0,\uff11,2", "0,\u00b9,2", "0,1,\u0661\u0662"],
+        ids=[
+            "separator_id", "separator_weight", "arabic_indic_id", "fullwidth_id",
+            "superscript_id", "arabic_indic_weight",
+        ],
+    )
+    def test_separator_or_non_ascii_digit_rejected(self, line):
+        # int() and Fraction() would read the edge (0, 10), a weight of 25,
+        # vertex 1 twice (int() rejects the superscript) and a weight of 12
+        with pytest.raises(GraphFormatError, match="non-ASCII character or '_'"):
+            parse_edge_list(line + "\n")
+
+    def test_spaces_around_ids_accepted(self):
+        assert parse_edge_list(" 0 , 1 ,2\n").edges == ((0, 1, Fraction(2)),)
+
     @pytest.mark.parametrize(
         "header",
         ['{"x": ' + "[" * 5000 + "]" * 5000 + "}", '{"n_vertices": ' + "9" * 5000 + "}"],
@@ -192,6 +214,15 @@ class TestAdjacencyFormat:
     def test_non_square_rejected(self):
         with pytest.raises(GraphFormatError):
             parse_adjacency("0,1,1\n1,0,1\n")
+
+    @pytest.mark.parametrize(
+        "text", ["0,1_0\n1_0,0\n", "0 1_0\n1_0 0\n", "0,\uff15\n\uff15,0\n"],
+        ids=["comma_separator", "space_separator", "fullwidth_digit"],
+    )
+    def test_separator_or_non_ascii_digit_rejected(self, text):
+        # Fraction() would read a weight of 10, or a fullwidth 5 as 5
+        with pytest.raises(GraphFormatError, match="non-ASCII character or '_'"):
+            parse_adjacency(text)
 
 
 class TestOrientation:

@@ -1,6 +1,6 @@
 """No module imports a name it never uses, no private helper or class
-member is dead, no command but ``compare`` loads scipy, and only a
-process pool loads multiprocessing.
+member is dead, no command loads scipy, and only a process pool loads
+multiprocessing.
 
 The first three checks are the lint step. The unused-import check
 covers every library module except ``__init__.py`` (whose imports are
@@ -16,9 +16,10 @@ member whose name another class shares escapes it: reads of the field
 reads of ``ComparisonReport.to_json`` cover ``GeneratorConfig.to_json``,
 which writes the documented ``--config`` format and stays. The import
 guards run each case in a fresh interpreter and list the modules it
-loaded under a prefix: importing the package must load no scipy, and
-``compare`` only ``scipy.special``; neither the import nor a serial
-``scaffold`` run may load ``multiprocessing`` or
+loaded under a prefix: neither importing the package nor a
+``persistence``, ``scaffold``, ``compare`` or ``generate`` run may load
+any scipy module, which only the tests use, as an oracle; neither the
+import nor a serial ``scaffold`` run may load ``multiprocessing`` or
 ``concurrent.futures.process``.
 """
 
@@ -241,20 +242,20 @@ def test_package_import_loads_no_scipy(tmp_path):
     assert modules_loaded(code, tmp_path, "scipy") == []
 
 
-@pytest.mark.parametrize("command", ["persistence", "scaffold"])
-def test_pipeline_commands_load_no_scipy(tmp_path, command):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["persistence", "--input", "g.edges", "--output-dir", "out"],
+        ["scaffold", "--input", "g.edges", "--output-dir", "out"],
+        ["compare", "--input", "g.edges", "--output-dir", "out"],
+        ["generate", "--model", "er", "--n", "6", "--m", "7", "--out", "out/er.edges"],
+    ],
+    ids=["persistence", "scaffold", "compare", "generate"],
+)
+def test_pipeline_commands_load_no_scipy(tmp_path, argv):
     (tmp_path / "g.edges").write_text(GRAPH)
-    code = run_cli([command, "--input", "g.edges", "--output-dir", "out"])
-    assert modules_loaded(code, tmp_path, "scipy") == []
-    assert (tmp_path / "out" / "g_barcode.csv").is_file()
-
-
-def test_compare_loads_scipy_special_but_not_scipy_stats(tmp_path):
-    (tmp_path / "g.edges").write_text(GRAPH)
-    code = run_cli(["compare", "--input", "g.edges", "--output-dir", "out"])
-    loaded = modules_loaded(code, tmp_path, "scipy")
-    assert "scipy.special" in loaded
-    assert "scipy.stats" not in loaded  # any scipy.stats.* loads it too
+    assert modules_loaded(run_cli(argv), tmp_path, "scipy") == []
+    assert any((tmp_path / "out").iterdir())
 
 
 POOL_MODULES = ["multiprocessing", "concurrent.futures.process"]

@@ -392,6 +392,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match="weight_decimal does not match"):
             parse_scaffold_csv(self.HEADER + f"0,1,inf,{10**400},1\n")
 
+    @pytest.mark.parametrize(
+        "row",
+        ["0,1_0,10.0,1_0,+1", "0,1_0,1.0,1,1", "0,1,10.0,1_0,1", "0,1,1.0,+1,1",
+         "0,1,1.0,1,+1", "0,\u0661,1.0,1,1", "0,1,1.0,1,\uff11", "+0,1,1.0,1,1"],
+        ids=["separators_and_sign", "id_separator", "num_separator", "num_sign", "den_sign",
+             "arabic_indic_id", "fullwidth_den", "id_sign"],
+    )
+    def test_ids_and_weight_parts_must_be_ascii_digits(self, row):
+        # int() would read each of these as a valid number
+        with pytest.raises(ValueError, match="ASCII digits"):
+            parse_scaffold_csv(self.HEADER + row + "\n")
+
     def test_duplicate_pair_raises(self):
         with pytest.raises(ValueError, match="repeats"):
             parse_scaffold_csv(self.HEADER + "0,1,1.0,1,1\n0,1,0.5,1,2\n")

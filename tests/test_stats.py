@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from netscaffold.scaffold import Scaffold, minimal_scaffold_with_draws, step_bas
 from netscaffold.stats import (
     KS_INCONCLUSIVE_P,
     VERTEX_METRICS,
+    _kolmogorov_sf,
     _midranks,
     aggregate_comparisons,
     compare_scaffolds,
@@ -283,9 +285,66 @@ def random_sample(rng: np.random.Generator) -> np.ndarray:
     return rng.integers(0, int(rng.integers(1, 5)), size=size).astype(float)
 
 
+def neighbours(x: float, count: int) -> list[float]:
+    """x and the count floats on each side of it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def ks_lambdas(max_size: int) -> np.ndarray:
+    """Every distinct sqrt(nx ny / (nx + ny)) * D that ks_two_sample
+    can evaluate for sample sizes up to max_size, D running over all
+    |i/nx - j/ny|, computed as ks_two_sample computes it."""
+    chunks = []
+    for nx in range(1, max_size + 1):
+        cdf_x = np.arange(nx + 1) / nx
+        for ny in range(nx, max_size + 1):  # lambda is symmetric
+            cdf_y = np.arange(ny + 1) / ny
+            d = np.unique(np.abs(cdf_x[:, None] - cdf_y[None, :]))
+            chunks.append(math.sqrt(nx * ny / (nx + ny)) * d)
+    return np.unique(np.concatenate(chunks))
+
+
+KOLMOGOROV_INPUTS = {
+    # dense across the switch between the two series at 0.82
+    "grid": np.linspace(0.0, 3.0, 30_001).tolist()
+    + neighbours(0.82, 64)
+    + np.linspace(0.8, 0.84, 4_001).tolist(),
+    # exp(-pi^2 / (8 x^2)) underflows: early return and log path
+    "underflow": np.linspace(0.0, 0.041, 4_101).tolist()
+    + neighbours(math.pi / math.sqrt(746 * 8), 64)
+    + np.linspace(0.0406, 0.0407, 2_001).tolist(),
+    "special": [
+        0.0, -0.0, -1.0, -1e-300, -math.inf, 5e-324, 1e-310, 2.2250738585072014e-308,
+        1e-300, 1e-162, 1e-160, 1e-20, 10.0, 40.0, 1e300, math.inf, math.nan,
+    ],
+}
+
+
 class TestExactReplacements:
-    """The numpy midranks and the scipy.special KS tail equal the
-    scipy.stats functions they replace bit for bit, not just nearly."""
+    """The numpy midranks equal the scipy.stats function they replace,
+    and the math KS tail ``scipy.special.kolmogorov``, bit for bit, not
+    just nearly."""
+
+    @staticmethod
+    def assert_kolmogorov_equal(xs):
+        xs = np.asarray(xs, dtype=float)
+        ours = np.array([_kolmogorov_sf(x) for x in xs.tolist()])
+        ref = scipy.special.kolmogorov(xs)
+        differ = ~((ours == ref) | (np.isnan(ours) & np.isnan(ref)))
+        assert not differ.any(), xs[differ][:5]
+
+    @pytest.mark.parametrize("region", sorted(KOLMOGOROV_INPUTS))
+    def test_kolmogorov_sf_equals_scipy(self, region):
+        self.assert_kolmogorov_equal(KOLMOGOROV_INPUTS[region])
+
+    def test_kolmogorov_sf_equals_scipy_on_every_ks_lambda(self):
+        lams = ks_lambdas(60)
+        assert lams.size > 1_000_000
+        self.assert_kolmogorov_equal(lams)
 
     @pytest.mark.parametrize(
         "x",
