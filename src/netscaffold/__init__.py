@@ -17,7 +17,6 @@ from .graph import (
     orient_filtration,
     parse_adjacency,
     parse_edge_list,
-    relabel,
     serialize_edge_list,
 )
 from .complexes import FlagComplex2, flag_complex_at
@@ -75,7 +74,6 @@ __all__ = [
     "orient_filtration",
     "parse_adjacency",
     "parse_edge_list",
-    "relabel",
     "serialize_edge_list",
     "FlagComplex2",
     "flag_complex_at",

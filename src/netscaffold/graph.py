@@ -13,7 +13,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 __all__ = [
     "MAX_VERTICES",
@@ -28,7 +28,6 @@ __all__ = [
     "orient_filtration",
     "build_filtration",
     "sorted_weights",
-    "relabel",
 ]
 
 # Largest tolerated |a_ij - a_ji| when reading adjacency matrices.
@@ -86,35 +85,34 @@ def as_weight(value: object) -> Fraction:
 class WeightedGraph:
     """Undirected weighted graph on vertices ``0..n_vertices-1``.
 
-    Edges are stored canonically: ``u < v``, sorted, no duplicates, no
-    self-loops, all weights finite and >= 0. Construction validates all
-    of this so downstream code can rely on it.
+    Edges are stored canonically: each ``(u, v)`` has ``u < v`` and
+    comes strictly after the pair before it, so the edges are sorted
+    with no duplicates and no self-loops, and every weight is a
+    ``Fraction`` >= 0. Construction checks all of this in one pass over
+    the edges, so downstream code can rely on it; an edge's index in
+    ``edges`` is its id, and ids follow ``(u, v)`` order.
     """
 
     n_vertices: int
     edges: tuple[tuple[int, int, Fraction], ...]
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.n_vertices < 0:
+        n = self.n_vertices
+        if n < 0:
             raise GraphFormatError("negative vertex count")
-        if self.n_vertices > MAX_VERTICES:
-            raise GraphFormatError(
-                f"{self.n_vertices} vertices, more than the limit of {MAX_VERTICES}"
-            )
-        seen: set[tuple[int, int]] = set()
+        if n > MAX_VERTICES:
+            raise GraphFormatError(f"{n} vertices, more than the limit of {MAX_VERTICES}")
+        prev = (-1, -1)
         for u, v, w in self.edges:
-            if not (0 <= u < v < self.n_vertices):
-                raise GraphFormatError(f"edge ({u},{v}) not canonical for n={self.n_vertices}")
-            if (u, v) in seen:
-                raise GraphFormatError(f"duplicate edge ({u},{v})")
+            if not (0 <= u < v < n):
+                raise GraphFormatError(f"edge ({u},{v}) not canonical for n={n}")
+            if (u, v) <= prev:
+                if (u, v) == prev:
+                    raise GraphFormatError(f"duplicate edge ({u},{v})")
+                raise GraphFormatError("edges not sorted canonically")
             if not isinstance(w, Fraction) or w < 0:
                 raise GraphFormatError(f"edge ({u},{v}) weight {w!r} invalid")
-            seen.add((u, v))
-        if tuple(sorted(self.edges, key=lambda e: (e[0], e[1]))) != self.edges:
-            raise GraphFormatError("edges not sorted canonically")
-        if self.labels is not None and len(self.labels) != self.n_vertices:
-            raise GraphFormatError("label count does not match vertex count")
+            prev = (u, v)
 
     @property
     def n_edges(self) -> int:
@@ -145,25 +143,21 @@ def _canonical_edges(
 
 
 def make_graph(
-    n_vertices: int,
-    edges: Iterable[tuple[int, int, object]],
-    labels: Sequence[str] | None = None,
+    n_vertices: int, edges: Iterable[tuple[int, int, object]]
 ) -> WeightedGraph:
     """Build a graph from possibly unordered edge triples, converting weights."""
     converted = [(int(u), int(v), as_weight(w)) for u, v, w in edges]
-    return WeightedGraph(
-        n_vertices=n_vertices,
-        edges=_canonical_edges(converted),
-        labels=tuple(labels) if labels is not None else None,
-    )
+    return WeightedGraph(n_vertices=n_vertices, edges=_canonical_edges(converted))
 
 
 def parse_edge_list(text: str) -> WeightedGraph:
     """Parse a ``u,v,w`` CSV edge list.
 
     Lines starting with ``#`` are comments. The first non-comment line
-    may be a JSON object declaring ``n_vertices`` and optional
-    ``labels``; otherwise the vertex count is ``max id + 1``. Edge lines
+    may be a JSON object header whose only key is ``n_vertices`` (``{}``
+    declares nothing); any other key is an error, so a misspelt key
+    cannot silently change the vertex count. Without a declared count
+    the vertex count is ``max id + 1``. Edge lines
     are ASCII without ``_``, and vertex ids are digits only: Python's
     number syntax would read ``1_0`` as 10, and a sign or any Unicode
     digit as part of the number, turning a typo into a different graph.
@@ -171,7 +165,6 @@ def parse_edge_list(text: str) -> WeightedGraph:
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
     n_declared: int | None = None
-    labels: tuple[str, ...] | None = None
     if lines and lines[0].startswith("{"):
         try:
             header = json.loads(lines[0])
@@ -180,14 +173,13 @@ def parse_edge_list(text: str) -> WeightedGraph:
             raise GraphFormatError(f"bad JSON header: {exc}") from None
         if not isinstance(header, dict):
             raise GraphFormatError("JSON header must be an object")
+        unknown = sorted(set(header) - {"n_vertices"})
+        if unknown:
+            raise GraphFormatError(f"unknown header keys {unknown}; only n_vertices is allowed")
         if "n_vertices" in header:
             n_declared = header["n_vertices"]
             if not isinstance(n_declared, int) or isinstance(n_declared, bool):
                 raise GraphFormatError(f"header n_vertices={n_declared!r} is not an integer")
-        if "labels" in header:
-            if not isinstance(header["labels"], list):
-                raise GraphFormatError("header labels must be a list")
-            labels = tuple(str(x) for x in header["labels"])
         lines = lines[1:]
 
     triples: list[tuple[int, int, Fraction]] = []
@@ -213,9 +205,7 @@ def parse_edge_list(text: str) -> WeightedGraph:
         if n_declared < n:
             raise GraphFormatError(f"header n_vertices={n_declared} but ids reach {max_id}")
         n = n_declared
-    if labels is not None and len(labels) != n:
-        raise GraphFormatError("label count does not match vertex count")
-    return WeightedGraph(n_vertices=n, edges=_canonical_edges(triples), labels=labels)
+    return WeightedGraph(n_vertices=n, edges=_canonical_edges(triples))
 
 
 def parse_adjacency(text: str) -> WeightedGraph:
@@ -256,13 +246,8 @@ def parse_adjacency(text: str) -> WeightedGraph:
 
 def serialize_edge_list(g: WeightedGraph) -> str:
     """Inverse of parse_edge_list; exact decimal-free rational text round-trips."""
-    out: list[str] = []
-    header: dict[str, object] = {"n_vertices": g.n_vertices}
-    if g.labels is not None:
-        header["labels"] = list(g.labels)
-    out.append(json.dumps(header))
-    for u, v, w in g.edges:
-        out.append(f"{u},{v},{w}")
+    out = [json.dumps({"n_vertices": g.n_vertices})]
+    out.extend(f"{u},{v},{w}" for u, v, w in g.edges)
     return "\n".join(out) + "\n"
 
 
@@ -322,22 +307,4 @@ def orient_filtration(g: WeightedGraph, direction: str) -> WeightedGraph:
         raise ValueError(f"unknown orientation {direction!r}")
     w_max = g.max_weight()
     flipped = tuple((u, v, w_max - w) for u, v, w in g.edges)
-    return WeightedGraph(n_vertices=g.n_vertices, edges=flipped, labels=g.labels)
-
-
-def relabel(g: WeightedGraph, perm: Sequence[int]) -> WeightedGraph:
-    """Apply a vertex permutation; perm[old] = new. Weights ride along."""
-    if sorted(perm) != list(range(g.n_vertices)):
-        raise ValueError("perm is not a permutation of the vertex set")
-    moved = [(perm[u], perm[v], w) for u, v, w in g.edges]
-    new_labels: tuple[str, ...] | None = None
-    if g.labels is not None:
-        inv = [0] * g.n_vertices
-        for old, new in enumerate(perm):
-            inv[new] = old
-        new_labels = tuple(g.labels[inv[i]] for i in range(g.n_vertices))
-    return WeightedGraph(
-        n_vertices=g.n_vertices,
-        edges=_canonical_edges(moved),
-        labels=new_labels,
-    )
+    return WeightedGraph(n_vertices=g.n_vertices, edges=flipped)

@@ -27,9 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from typing import Iterable
 
 from .complexes import FlagComplex2
-from .graph import Filtration
+from .graph import Filtration, WeightedGraph
 from .minbasis import (
     HortonSweep,
     MinimalBasisWithDraws,
@@ -87,12 +88,20 @@ class Scaffold:
         return strength
 
 
-def _finalize(
-    acc: dict[tuple[int, int], Fraction],
+def _edge_weights(
+    g: WeightedGraph, parts: Iterable[tuple[int | Fraction, tuple[int, ...]]]
 ) -> tuple[tuple[int, int, Fraction], ...]:
-    return tuple(
-        (u, v, w) for (u, v), w in sorted(acc.items()) if w != 0
-    )
+    """Scaffold rows from ``(share, edge ids)`` parts: each part adds its
+    share to each of its edges. Totals are kept per edge id and turned
+    into ``(u, v, weight)`` rows once at the end; ids follow the graph's
+    canonical ``(u, v)`` order, so rows sorted by id are sorted by pair.
+    Shares are positive, so every total is nonzero."""
+    acc: dict[int, int | Fraction] = {}
+    for share, eids in parts:
+        for eid in eids:
+            acc[eid] = acc.get(eid, 0) + share
+    edges = g.edges
+    return tuple((*edges[eid][:2], Fraction(w)) for eid, w in sorted(acc.items()))
 
 
 def _check_barcode(f: Filtration, barcode: Barcode) -> None:
@@ -111,18 +120,15 @@ def loose_scaffold(
     """
     _check_barcode(f, barcode)
     g = f.source
-    acc: dict[tuple[int, int], Fraction] = {}
-    for pair in barcode.in_dim(1):
-        if pair.death is None and not include_essential:
-            continue
-        assert pair.generator is not None
-        for eid in pair.generator.edges:
-            u, v, _ = g.edges[eid]
-            acc[(u, v)] = acc.get((u, v), Fraction(0)) + 1
+    parts = (
+        (1, pair.generator.edges)
+        for pair in barcode.in_dim(1)
+        if include_essential or pair.death is not None
+    )
     return Scaffold(
         provenance="loose",
         n_vertices=g.n_vertices,
-        edge_weights=_finalize(acc),
+        edge_weights=_edge_weights(g, parts),
         beta1_profile=tuple(zip(f.steps, bars_alive_at(barcode, f.steps, 1))),
     )
 
@@ -212,33 +218,24 @@ def _aggregate_minimal(
     draws: bool,
 ) -> Scaffold:
     g = f.source
-    acc: dict[tuple[int, int], Fraction] = {}
-    events: list[tuple[Fraction, PathologyEvent]] = []
-    hist: Counter[int] = Counter()
-    for eps, mb in results:
-        for ev in mb.pathology_events:
-            events.append((eps, ev))
-        for vs in mb.variant_sets:
-            hist[len(vs)] += 1
-            if draws:
-                share = Fraction(1, len(vs))
-                cycles = vs.cycles
-            else:
-                share = Fraction(1)
-                cycles = (vs.representative,)
-            for cyc in cycles:
-                for eid in cyc.edges:
-                    u, v, _ = g.edges[eid]
-                    acc[(u, v)] = acc.get((u, v), Fraction(0)) + share
+    sets = [vs for _, mb in results for vs in mb.variant_sets]
+    if draws:
+        parts = (
+            (Fraction(1, len(vs)), cyc.edges) for vs in sets for cyc in vs.cycles
+        )
+    else:
+        parts = ((1, vs.representative.edges) for vs in sets)
     # steps without a basis job carry no dim-1 class
     beta1 = {eps: mb.beta1 for eps, mb in results}
     return Scaffold(
         provenance="minimal_with_draws" if draws else "minimal",
         n_vertices=g.n_vertices,
-        edge_weights=_finalize(acc),
+        edge_weights=_edge_weights(g, parts),
         beta1_profile=tuple((eps, beta1.get(eps, 0)) for eps in f.steps),
-        pathology_events=tuple(events),
-        variant_histogram=tuple(sorted(hist.items())),
+        pathology_events=tuple(
+            (eps, ev) for eps, mb in results for ev in mb.pathology_events
+        ),
+        variant_histogram=tuple(sorted(Counter(map(len, sets)).items())),
     )
 
 

@@ -385,46 +385,32 @@ def compare_scaffolds(
         raise ValueError("scaffolds live on different vertex sets")
     ma = graph_metrics(a)
     mb = graph_metrics(b)
-    mnulls = None
+    # (slot, first, second), in the report's key order
+    slots = [("main", ma, mb)]
     if nulls is not None:
         if any(x.n_vertices != a.n_vertices for x in nulls):
             raise ValueError("nulls live on a different vertex set")
-        mnulls = (graph_metrics(nulls[0]), graph_metrics(nulls[1]))
+        null_a, null_b = map(graph_metrics, nulls)
+        slots += [("a_vs_null_b", ma, null_b), ("b_vs_null_a", mb, null_a)]
 
-    out: dict = {}
-    for name in VERTEX_METRICS:
-        entry = {"main": _pair_stats(ma.vector(name), mb.vector(name))}
-        if mnulls is not None:
-            entry["a_vs_null_b"] = _pair_stats(ma.vector(name), mnulls[1].vector(name))
-            entry["b_vs_null_a"] = _pair_stats(mb.vector(name), mnulls[0].vector(name))
-        out[name] = entry
+    def edge_stats(wa: dict, wb: dict, keys) -> dict | None:
+        # a weight missing from a map reads 0.0 (only in the union)
+        if len(keys) < 2:
+            return None
+        keys = sorted(keys)
+        return _pair_stats([wa.get(e, 0.0) for e in keys], [wb.get(e, 0.0) for e in keys])
 
-    def edge_entry(wa: dict, wb: dict) -> dict:
-        common = sorted(set(wa) & set(wb))
-        union = sorted(set(wa) | set(wb))
-        entry: dict = {}
-        if len(common) >= 2:
-            xa = [wa[e] for e in common]
-            xb = [wb[e] for e in common]
-            entry["intersection"] = _pair_stats(xa, xb)
-        else:
-            entry["intersection"] = None
-        if len(union) >= 2:
-            xa = [wa.get(e, 0.0) for e in union]
-            xb = [wb.get(e, 0.0) for e in union]
-            entry["union_with_zeros"] = _pair_stats(xa, xb)
-        else:
-            entry["union_with_zeros"] = None
-        return entry
-
-    out["edge_weight"] = {"main": edge_entry(ma.edge_weights, mb.edge_weights)}
-    if mnulls is not None:
-        out["edge_weight"]["a_vs_null_b"] = edge_entry(
-            ma.edge_weights, mnulls[1].edge_weights
-        )
-        out["edge_weight"]["b_vs_null_a"] = edge_entry(
-            mb.edge_weights, mnulls[0].edge_weights
-        )
+    out: dict = {
+        name: {slot: _pair_stats(x.vector(name), y.vector(name)) for slot, x, y in slots}
+        for name in VERTEX_METRICS
+    }
+    out["edge_weight"] = {}
+    for slot, x, y in slots:
+        wa, wb = x.edge_weights, y.edge_weights
+        out["edge_weight"][slot] = {
+            "intersection": edge_stats(wa, wb, wa.keys() & wb.keys()),
+            "union_with_zeros": edge_stats(wa, wb, wa.keys() | wb.keys()),
+        }
     return ComparisonReport(metrics=out)
 
 

@@ -18,8 +18,9 @@ inputs.
 
 The exceptions are the adapters at the end, which only reshape what
 the package returns: the Horton pool that a sweep's trees give, the
-pool of one complex as sorted ``Cycle``s, and the representatives and
-total length of a basis.
+pool of one complex as sorted ``Cycle``s, the representatives and
+total length of a basis, and ``relabel``, which permutes a graph's
+vertex ids through ``make_graph`` for the invariance tests.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from itertools import combinations, groupby
 
 import numpy as np
 
+from netscaffold.graph import make_graph
 from netscaffold.minbasis import Cycle, HortonSweep, _hits
 
 
@@ -632,3 +634,10 @@ def representatives(mb) -> list[Cycle]:
 def total_length(mb) -> Fraction:
     """Summed mu-length of a basis, one representative per class."""
     return sum((vs.length_mu for vs in mb.variant_sets), Fraction(0))
+
+
+def relabel(g, perm):
+    """Apply a vertex permutation; perm[old] = new. Weights ride along."""
+    if sorted(perm) != list(range(g.n_vertices)):
+        raise ValueError("perm is not a permutation of the vertex set")
+    return make_graph(g.n_vertices, [(perm[u], perm[v], w) for u, v, w in g.edges])

@@ -25,7 +25,6 @@ from netscaffold.graph import (
     make_graph,
     orient_filtration,
     parse_edge_list,
-    relabel,
 )
 from netscaffold.minbasis import min_basis_with_draws
 from netscaffold.persistence import compute_persistence
@@ -58,6 +57,7 @@ from .oracles import (
     gf2_rank_lowbit,
     make_residue_fn,
     mask_length,
+    relabel,
     total_length,
 )
 

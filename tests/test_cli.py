@@ -254,10 +254,12 @@ class TestScaffoldCommand:
             "0,1,1e99999999\n",
             '{"x": ' + "[" * 5000 + "]" * 5000 + "}\n0,1,1\n",
             "0,1,1\n1,2,1\n2,3,1\n0,3_0,1\n",
+            # a misspelt key would otherwise leave the vertex count at 4
+            '{"n_vertice": 10}\n0,1,1\n1,2,1\n2,3,1\n0,3,1\n',
         ],
         ids=[
             "short_row", "null_n_vertices", "scalar_labels", "overflow_weight",
-            "huge_exponent", "deep_json_header", "digit_separator_id",
+            "huge_exponent", "deep_json_header", "digit_separator_id", "header_typo",
         ],
     )
     def test_malformed_input_is_data_error(self, tmp_path, text):

@@ -17,11 +17,12 @@ from netscaffold.graph import (
     orient_filtration,
     parse_adjacency,
     parse_edge_list,
-    relabel,
     serialize_edge_list,
     sorted_weights,
 )
 from netscaffold.complexes import flag_complex_at
+
+from .oracles import relabel
 
 
 class TestWeights:
@@ -91,9 +92,22 @@ class TestGraphModel:
         with pytest.raises(GraphFormatError):
             WeightedGraph(n_vertices=2, edges=((0, 2, Fraction(1)),))
 
-    def test_label_count_must_match(self):
-        with pytest.raises(GraphFormatError):
-            make_graph(2, [(0, 1, 1)], labels=["a"])
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            (((0, 1, Fraction(1)), (0, 1, Fraction(1))), r"duplicate edge \(0,1\)"),
+            (((0, 2, Fraction(1)), (0, 1, Fraction(1))), "edges not sorted canonically"),
+            (((0, 1, Fraction(1)), (1, 2, Fraction(1)), (0, 2, Fraction(1))),
+             "edges not sorted canonically"),
+            (((0, 1, 1),), r"edge \(0,1\) weight 1 invalid"),
+            (((0, 1, Fraction(-1)),), r"edge \(0,1\) weight Fraction\(-1, 1\) invalid"),
+        ],
+        ids=["repeated_pair", "out_of_order", "out_of_order_later", "int_weight",
+             "negative_weight"],
+    )
+    def test_direct_construction_checks_each_edge(self, edges, message):
+        with pytest.raises(GraphFormatError, match=message):
+            WeightedGraph(n_vertices=3, edges=edges)
 
 
 class TestEdgeListFormat:
@@ -106,11 +120,19 @@ class TestEdgeListFormat:
         g = parse_edge_list("# header\n\n0,1,1\n# mid\n1,2,1\n")
         assert g.n_edges == 2
 
-    def test_json_header_sets_vertex_count_and_labels(self):
-        text = '{"n_vertices": 5, "labels": ["a","b","c","d","e"]}\n0,1,1\n'
-        g = parse_edge_list(text)
+    def test_json_header_sets_vertex_count(self):
+        g = parse_edge_list('{"n_vertices": 5}\n0,1,1\n')
         assert g.n_vertices == 5
-        assert g.labels == ("a", "b", "c", "d", "e")
+        assert parse_edge_list("{}\n0,1,1\n").n_vertices == 2
+
+    @pytest.mark.parametrize(
+        "header",
+        ['{"n_vertice": 10}', '{"n_vertices": 2, "labels": ["a", "b"]}', '{"labels": 5}'],
+        ids=["typo", "labels", "scalar_labels"],
+    )
+    def test_header_unknown_key_rejected(self, header):
+        with pytest.raises(GraphFormatError, match="only n_vertices is allowed"):
+            parse_edge_list(header + "\n0,1,1\n")
 
     def test_header_vertex_count_too_small(self):
         with pytest.raises(GraphFormatError):
@@ -158,7 +180,7 @@ class TestEdgeListFormat:
             parse_edge_list(header + "\n0,1,1\n")
 
     def test_round_trip_exact(self):
-        g = make_graph(4, [(0, 1, "0.3"), (2, 3, "7/3")], labels="wxyz")
+        g = make_graph(4, [(0, 1, "0.3"), (2, 3, "7/3")])
         assert parse_edge_list(serialize_edge_list(g)) == g
 
 
@@ -336,6 +358,32 @@ def small_graphs(draw):
 @settings(max_examples=60, deadline=None)
 def test_serialize_round_trip(g):
     assert parse_edge_list(serialize_edge_list(g)) == g
+
+
+@given(
+    st.integers(min_value=2, max_value=8).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(
+                    st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 3)
+                ).filter(lambda t: t[0] != t[1]),
+                max_size=12,
+            ),
+        )
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_make_graph_pairs_strictly_increase(case):
+    n, triples = case
+    # the first weight of each pair wins, so no pair conflicts
+    weights = {}
+    for u, v, w in triples:
+        weights.setdefault(frozenset((u, v)), w)
+    g = make_graph(n, [(u, v, weights[frozenset((u, v))]) for u, v, _ in triples])
+    pairs = [(u, v) for u, v, _ in g.edges]
+    assert all(p < q for p, q in zip(pairs, pairs[1:]))
+    assert set(pairs) == {tuple(sorted(p)) for p in weights}
 
 
 @given(small_graphs(), st.randoms(use_true_random=False))

@@ -1,16 +1,22 @@
-"""No module imports a name it never uses, no private helper or class
-member is dead, no command loads scipy, and only a process pool loads
-multiprocessing.
+"""No module imports a name it never uses, no private helper, public
+function or class, or class member is dead, no command loads scipy,
+and only a process pool loads multiprocessing.
 
-The first three checks are the lint step. The unused-import check
+The first four checks are the lint step. The unused-import check
 covers every library module except ``__init__.py`` (whose imports are
 the package's re-exports) and every test module. The dead-helper check
 covers the top-level ``_name`` functions and classes of the library:
 each must be referenced somewhere in the library outside its own
-definition. The dead-member check covers the methods and properties of
-the library's top-level classes: each name must be read somewhere in
-the library, ``perfbench/`` or ``demos/`` outside its own definition;
-what only the tests read is dead. It matches names, not classes, so a
+definition. The dead-public-name check covers the top-level public
+functions and classes of the library: each must be read somewhere in
+the library, ``perfbench/`` or ``demos/`` outside its own definition,
+and the re-exports of ``__init__.py`` and the strings of its
+``__all__`` do not count, so a name only the tests use is dead (such a
+helper lives in ``tests/oracles.py``). The dead-member check covers
+the methods and properties of the library's top-level classes: each
+name must be read somewhere in the library, ``perfbench/`` or
+``demos/`` outside its own definition; what only the tests read is
+dead. It matches names, not classes, so a
 member whose name another class shares escapes it: reads of the field
 ``FlagComplex2.weights`` hid the dead ``WeightedGraph.weights()``, and
 reads of ``ComparisonReport.to_json`` cover ``GeneratorConfig.to_json``,
@@ -203,6 +209,58 @@ def test_no_dead_members():
     sources = {p.name: p.read_text() for p in LIBRARY}
     callers = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
     assert dead_members(sources, callers) == []
+
+
+def dead_public_names(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Top-level public functions and classes of sources that no module
+    of sources or callers reads outside their own definition, as
+    ``module:name``. The package's ``__init__.py`` is not a reader: its
+    imports only re-export, and the strings of ``__all__`` are no
+    reads."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    readers = [t for name, t in trees.items() if name != "__init__.py"]
+    readers += [ast.parse(src) for src in callers.values()]
+    dead = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ):
+                continue
+            if node.name.startswith("_"):
+                continue
+            if not any(node.name in _names_read(t, node) for t in readers):
+                dead.append(f"{module}:{node.name}")
+    return sorted(dead)
+
+
+def test_dead_public_checker_flags_only_unread_names():
+    sources = {
+        "__init__.py": (
+            "from .a import exported, recursive, used\n"
+            "__all__ = ['exported', 'recursive', 'used']\n"
+        ),
+        "a.py": (
+            "def used(): pass\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "def exported(): pass\n"
+            "def by_caller(): pass\n"
+            "class Model: pass\n"
+            "def _private(): pass\n"
+        ),
+        "b.py": "from .a import used\nx: Model = used()\n",
+    }
+    callers = {"run.py": "import a\na.by_caller()\n"}
+    assert dead_public_names(sources, callers) == ["a.py:exported", "a.py:recursive"]
+    assert dead_public_names(sources, {}) == [
+        "a.py:by_caller", "a.py:exported", "a.py:recursive"
+    ]
+
+
+def test_no_dead_public_names():
+    sources = {p.name: p.read_text() for p in LIBRARY}
+    callers = {str(p.relative_to(ROOT)): p.read_text() for p in CALLERS}
+    assert dead_public_names(sources, callers) == []
 
 
 def modules_loaded(code: str, cwd: Path, prefix: str) -> list[str]:

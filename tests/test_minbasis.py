@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from netscaffold import minbasis
 from netscaffold.complexes import flag_complex_at
-from netscaffold.graph import build_filtration, make_graph, orient_filtration, relabel
+from netscaffold.graph import build_filtration, make_graph, orient_filtration
 from netscaffold.minbasis import (
     Cycle,
     HortonSweep,
@@ -40,6 +40,7 @@ from .oracles import (
     make_residue_fn,
     mask_length,
     reference_selection,
+    relabel,
     representatives,
     source_counts,
     sweep_pool,
