@@ -19,10 +19,13 @@ Along a filtration the candidates and classes come from one
 ``HortonSweep`` over ascending prefix views of the full complex. It
 scales the mu lengths once and keeps a pool index from step to step:
 the number of sources of each candidate cycle, and the cycles not
-known to be boundaries grouped by length. It updates each root's
-shortest-path tree in place as a step's edges enter (a batched edge
-insertion in the manner of Ramalingam and Reps, J. Algorithms 1996),
-and tests again only the edges at a vertex whose tree path changed.
+known to be boundaries grouped by length. It has one builder for each
+root's shortest-path tree: a batched edge insertion in the manner of
+Ramalingam and Reps (J. Algorithms 1996), which updates the tree in
+place as a step's edges enter. Each tree starts as the empty view's,
+where only the root is reached, so the first view's trees are built by
+the same insertion. Only the edges at a vertex whose tree path changed
+are tested again.
 It absorbs each nonzero reduced triangle column once, into classes
 whose coordinates are the non-tree edge positions, and retires the
 cycles found to be boundaries. The index at every step holds exactly
@@ -148,55 +151,6 @@ def _scale_mu(mu: list[Fraction]) -> tuple[list[int], int]:
     return [int(w * denom) for w in mu], denom
 
 
-def _sp_tree(
-    adj: list[list[tuple[int, int, int]]], n: int, root: int
-) -> tuple[list[int | None], list[int], list[int], list[int]]:
-    """Dijkstra tree from root with deterministic tie handling.
-
-    Weights are pre-scaled integers. Returns (dist, pred, branch,
-    pathmask). pred[u] is the smallest-id already-settled neighbor on a
-    shortest path, which stays acyclic even with zero-weight edges: a
-    settled vertex relaxes its unsettled neighbors only, and a tie with
-    the current distance moves pred to the smaller id. branch[u] is the
-    child of root whose subtree holds u (root for itself), so the tree
-    paths to two vertices meet only at root exactly when their branches
-    differ. pathmask[u] is the bitset of tree edge positions on the
-    root-to-u path. All four are set as u is settled, in one pass.
-    """
-    dist: list[int | None] = [None] * n
-    dist[root] = 0
-    pred = [-1] * n
-    pred_pos = [-1] * n
-    branch = [-1] * n
-    branch[root] = root
-    pathmask = [0] * n
-    settled = [False] * n
-    heap: list[tuple[int, int]] = [(0, root)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if settled[u]:
-            continue
-        settled[u] = True
-        if u != root:
-            p = pred[u]
-            branch[u] = u if p == root else branch[p]
-            pathmask[u] = pathmask[p] | (1 << pred_pos[u])
-        for v, w, pos in adj[u]:
-            if settled[v]:
-                continue
-            nd = d + w
-            dv = dist[v]
-            if dv is None or nd < dv:
-                dist[v] = nd
-                pred[v] = u
-                pred_pos[v] = pos
-                heapq.heappush(heap, (nd, v))
-            elif nd == dv and u < pred[v]:
-                pred[v] = u
-                pred_pos[v] = pos
-    return dist, pred, branch, pathmask
-
-
 def _insert(
     tree: tuple,
     adj: list[list[tuple[int, int, int]]],
@@ -205,31 +159,50 @@ def _insert(
     ends: list[tuple[int, int]],
     imu: list[int],
 ) -> tuple[tuple, list[int]]:
-    """Root's ``_sp_tree`` tree after the edge positions new, already in
+    """Root's shortest-path tree after the edge positions new, already in
     adj, were inserted, updated in place of a rebuild; and the vertices
     whose tree path changed, each after its tree parent. The input tree
     is returned, unchanged, when no path changes; otherwise a new tree.
+    Every tree is built this way, from the empty view's, where only root
+    is reached.
 
-    ``_sp_tree``'s tree is a function of the graph and the distances
-    alone. Vertices at one distance d settle in smallest-id-first order,
-    starting from those with a tight edge of positive weight from below
-    and going on along zero-weight edges. So each zero-weight component
-    at d (a single vertex when it has no zero-weight edge) is settled by
-    a smallest-id-first search of its own, and pred[u] is the smallest
-    id among u's tight neighbours below d and its zero-weight neighbours
-    settled before it.
+    A tree is (dist, pred, branch, pathmask) over pre-scaled integer
+    weights, with dist None and pred -1 off root's component. It is the
+    tree of a Dijkstra search from root that settles the vertices at one
+    distance d in smallest-id-first order, starting from those with a
+    tight edge of positive weight from below and going on along
+    zero-weight edges. So each zero-weight component at d (a single
+    vertex when it has no zero-weight edge) is settled by a
+    smallest-id-first search of its own, and pred[u] is the smallest id
+    among u's tight neighbours below d and its zero-weight neighbours
+    settled before it. The tree is acyclic, and a function of the graph
+    and the distances alone. branch[u] is the child of root whose
+    subtree holds u (root for itself, -1 off its component), so the tree
+    paths to two vertices meet only at root exactly when their branches
+    differ. pathmask[u] is the bitset of edge positions on the tree path.
 
-    The update lowers distances with a Dijkstra seeded by the new edges.
-    pred[u] reads only the distances at u and its neighbours, and the
-    order within u's component reads only which members have a tight
-    edge from below. A vertex whose distance did not fall keeps every
-    tight neighbour it had, since one that fell would pull it down too,
-    so its inputs change only when a new edge, or a neighbour whose
-    distance fell, reaches it at an equal distance. pred is derived
-    again for the components that hold such a vertex or one whose
-    distance fell, and for no other. branch and pathmask are redone for
-    the vertices whose distance or pred changed and their descendants,
-    which is exactly the set whose path changed.
+    The update lowers distances with a Dijkstra seeded by the new edges;
+    a vertex is pushed only when it improves on its tentative distance.
+    When v pops at distance d, every neighbour whose final distance is
+    below d is already final, and one that is not still reads at least
+    d (its old distance, its tentative one, or None). So when v has no
+    zero-weight edge, its pred, branch and pathmask are set in the same
+    scan of its edges that relaxes its neighbours. A v with a
+    zero-weight edge waits for a second pass: its pred may be a member
+    of its component that has not popped yet, and the order within the
+    component reads which members have a tight edge from below, known
+    only once all of them are final.
+
+    The second pass derives pred again for those components, and for
+    the vertices whose distance did not fall but that a new edge, or a
+    neighbour whose distance fell, reaches at an equal distance. No
+    other vertex needs it: pred[u] reads only the distances at u and its
+    neighbours, and a vertex whose distance did not fall keeps every
+    tight neighbour it had, since one that fell would pull it down too.
+    branch and pathmask are then redone for the vertices whose pred that
+    pass moved and for their descendants, which include any vertex
+    below them settled in the scan. With the vertices settled in the
+    scan, that is exactly the set whose path changed.
     """
     dist, pred, branch, pathmask = tree
     heap: list[tuple[int, int]] = []
@@ -253,31 +226,52 @@ def _insert(
     if not heap and not touched:
         return tree, []
 
-    fell: set[int] = set()
-    if heap:
-        dist = dist[:]
-        heapq.heapify(heap)
-        while heap:
-            d, v = heapq.heappop(heap)
-            dv = dist[v]
-            if dv is not None and dv <= d:
+    old_dist, old_pathmask = dist, pathmask
+    dist, pred, branch, pathmask = dist[:], pred[:], branch[:], pathmask[:]
+    settled: dict[int, int] = {}  # vertex settled in the scan -> pred edge
+    fell: set[int] = set()  # fallen vertices with a zero-weight edge
+    seeds, heap = heap, []
+    for nd, v in seeds:
+        dv = dist[v]
+        if dv is None or nd < dv:
+            dist[v] = nd
+            heap.append((nd, v))
+    heapq.heapify(heap)
+    while heap:
+        d, v = heapq.heappop(heap)
+        if d != dist[v]:  # stale: pushed again, lower
+            continue
+        best = best_pos = -1
+        flat = False
+        for u, w, q in adj[v]:
+            du = dist[u]
+            nd = d + w
+            if du is not None and du < nd:
+                # final when tight; a zero-weight edge never gets here
+                if du + w == d and (best < 0 or u < best):
+                    best, best_pos = u, q
                 continue
-            dist[v] = d
+            if not w:
+                flat = True
+            if du is None or nd < du:
+                dist[u] = nd
+                heapq.heappush(heap, (nd, u))
+            elif du == old_dist[u]:  # a tie; a lowered u settles anyway
+                touched.add(u)
+        if flat:
             fell.add(v)
-            for u, w, _ in adj[v]:
-                du = dist[u]
-                nd = d + w
-                if du is None or nd < du:
-                    heapq.heappush(heap, (nd, u))
-                elif nd == du:
-                    touched.add(u)
-        touched |= fell
+            continue
+        settled[v] = best_pos
+        pred[v] = best
+        branch[v] = v if best == root else branch[best]
+        pathmask[v] = pathmask[best] | (1 << best_pos)
+    touched |= fell
 
-    # new pred and pred-edge position of each vertex whose path moved
+    # new pred and pred-edge position of each other vertex whose path moved
     moved: dict[int, tuple[int, int]] = {}
     seen: set[int] = set()
     for v in touched:
-        if v in seen:
+        if v in seen or v in settled:
             continue
         seen.add(v)
         d = dist[v]
@@ -289,7 +283,7 @@ def _insert(
             elif dist[u] is not None and dist[u] + w == d and (best < 0 or u < best):
                 best, best_pos = u, q
         if not flat:
-            if best != pred[v] or v in fell:
+            if best != pred[v]:
                 moved[v] = (best, best_pos)
             continue
         # v's zero-weight component, settled smallest id first from the
@@ -326,12 +320,10 @@ def _insert(
             done.add(z)
             if best != pred[z] or z in fell:
                 moved[z] = (best, best_pos)
-    if not moved:
+    if not moved and not settled:
         return tree, []
 
     # the moved vertices and their descendants in the new tree
-    old_pathmask = pathmask
-    pred, branch, pathmask = pred[:], branch[:], pathmask[:]
     for z, (q, _) in moved.items():
         pred[z] = q
     changed = list(moved)
@@ -343,7 +335,7 @@ def _insert(
                 changed.append(u)
     # redo paths parents first: walk up to a redone or unchanged parent
     redone: set[int] = set()
-    out = []
+    out = [v for v in settled if v not in inside]
     for v in changed:
         chain = []
         while v in inside and v not in redone:
@@ -354,6 +346,8 @@ def _insert(
             q = pred[v]
             if v in moved:
                 bit = 1 << moved[v][1]
+            elif v in settled:
+                bit = 1 << settled[v]
             else:  # same pred edge as before
                 bit = old_pathmask[v] ^ old_pathmask[q]
             pathmask[v] = pathmask[q] | bit
@@ -406,19 +400,19 @@ class HortonSweep:
     retires it. The index size is the number of distinct cycles with a
     source, fundamental cycles included.
 
-    The adjacency grows by the view's new edges. A fresh sweep builds
-    each root's shortest-path tree whole (``_sp_tree``); later views
-    insert their new edges into it (``_insert``), which re-settles only
-    the vertices whose distance falls or whose pred a new tight edge
-    moves, and returns the vertices whose tree path changed. A tree
-    with no such vertex is kept and tests only the new edges. The hit
-    of a root and an edge (a,b), its cycle and its length read only the
-    tree paths to a and b, so after an update only the edges at a
-    vertex whose path changed, and the new edges, are tested again:
-    each old hit, read off the old tree, loses a source and each new
-    hit gains one. A fresh sweep has no old tree, and every edge is
-    new. So the index always holds exactly the sources of a fresh
-    search of the view.
+    The adjacency grows by the view's new edges. Each root's
+    shortest-path tree starts as the empty view's, where only the root
+    is reached, and every view inserts its new edges into it
+    (``_insert``), which re-settles only the vertices whose distance
+    falls or whose pred a new tight edge moves, and returns the vertices
+    whose tree path changed. A tree with no such vertex is kept and
+    tests only the new edges. The hit of a root and an edge (a,b), its
+    cycle and its length read only the tree paths to a and b, so after
+    an update only the edges at a vertex whose path changed, and the new
+    edges, are tested again: each old hit, read off the old tree, loses
+    a source and each new hit gains one. The empty view has no edges
+    and no hits, so the index always holds exactly the sources of a
+    fresh search of the view.
 
     Classes live in the coordinates of the horizon's non-tree positions,
     which never change along the sweep. The sweep keeps every column it
@@ -451,12 +445,19 @@ class HortonSweep:
         self._n_edges = 0  # edge positions in the adjacency so far
         self._ends = [horizon.edge_vertices(p) for p in range(horizon.n_edges)]
         self._adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
-        self._trees: list[tuple | None] = [None] * n
+        # each root's tree of the empty view: only the root is reached
+        self._trees: list[tuple] = []
+        for root in range(n):
+            dist: list[int | None] = [None] * n
+            dist[root] = 0
+            branch = [-1] * n
+            branch[root] = root
+            self._trees.append((dist, [-1] * n, branch, [0] * n))
         self._count: dict[int, int] = {}  # cycle -> number of sources
         self._levels: dict[int, set[int]] = {}  # scaled length -> cycles
         # for the summary log
         self.steps = self.largest_index = 0
-        self.updated = self.built = 0  # trees updated in place, built whole
+        self.updated = 0  # trees updated in place
         self.moved = 0  # vertices whose tree path an update changed
         self.retested = self.rescan = 0  # edges tested on a new tree, all edges
 
@@ -547,44 +548,37 @@ class HortonSweep:
         n = len(adj)
         add, drop, trees = self._add, self._drop, self._trees
         for root in range(n):
-            tree = old = trees[root]
-            scan = new
-            if old is None:
-                tree = trees[root] = _sp_tree(adj, n, root)
-                self.built += 1
-            else:
-                tree, changed = _insert(old, adj, root, new, ends, imu)
-                if tree is not old:
-                    trees[root] = tree
-                    scan = set(new)
-                    for v in changed:
-                        scan.update(p for _, _, p in adj[v])
-                    self.updated += 1
-                    self.moved += len(changed)
-            if tree is not old:
-                self.retested += len(scan)
-                self.rescan += cx.n_edges
-            # gains before losses, so a cycle that keeps a source never
-            # leaves its level or ``retired``
-            for mask, length in _hits(tree, scan, ends, imu):
+            old = trees[root]
+            tree, changed = _insert(old, adj, root, new, ends, imu)
+            for mask, length in _hits(tree, new, ends, imu):
                 add(mask, length)
-            if old is not None and tree is not old:
-                gone = [p for p in scan if p < n_old]
-                for mask, length in _hits(old, gone, ends, imu):
-                    drop(mask, length)
+            if tree is old:
+                continue
+            # the old edges at a vertex whose path changed: gains before
+            # losses, so a cycle that keeps a source never leaves its
+            # level or ``retired``
+            trees[root] = tree
+            gone = {p for v in changed for _, _, p in adj[v] if p < n_old}
+            for mask, length in _hits(tree, gone, ends, imu):
+                add(mask, length)
+            for mask, length in _hits(old, gone, ends, imu):
+                drop(mask, length)
+            self.updated += 1
+            self.moved += len(changed)
+            self.retested += len(new) + len(gone)
+            self.rescan += cx.n_edges
         self.steps += 1
         self.largest_index = max(self.largest_index, len(self._count))
 
     def log_summary(self) -> None:
         """Log at INFO what the sweep did so far."""
         logger.info(
-            "Horton sweep: %d steps, %d of %d trees updated in place, %d built "
-            "whole, %d vertex paths changed, %d of %d edges re-tested, %d "
-            "boundaries absorbed, largest index %d",
+            "Horton sweep: %d steps, %d of %d trees updated in place, %d vertex "
+            "paths changed, %d of %d edges re-tested, %d boundaries absorbed, "
+            "largest index %d",
             self.steps,
             self.updated,
             self.steps * len(self._trees),
-            self.built,
             self.moved,
             self.retested,
             self.rescan,

@@ -19,7 +19,6 @@ from netscaffold.minbasis import (
     PathologyEvent,
     VariantSet,
     _insert,
-    _sp_tree,
     annotate_edges,
     min_basis_with_draws,
 )
@@ -490,10 +489,20 @@ def adjacency(draw):
 class TestShortestPathTree:
     @given(adjacency())
     @settings(max_examples=300, deadline=None)
-    def test_one_pass_tree_matches_two_pass_reference(self, adj):
+    def test_every_edge_inserted_into_the_empty_view_matches_reference(self, adj):
         n = len(adj)
+        edges = sorted({(p, u, v, w) for u in range(n) for v, w, p in adj[u] if u < v})
+        ends = [(u, v) for _, u, v, _ in edges]
+        imu = [w for _, _, _, w in edges]
         for root in range(n):
-            dist, pred, branch, pathmask = _sp_tree(adj, n, root)
+            # only root is reached
+            dist = [None] * n
+            dist[root] = 0
+            branch = [-1] * n
+            branch[root] = root
+            empty = (dist, [-1] * n, branch, [0] * n)
+            tree, changed = _insert(empty, adj, root, range(len(edges)), ends, imu)
+            dist, pred, branch, pathmask = tree
             want_dist, want_pred, _, want_pathmask = reference_sp_tree(adj, n, root)
             assert (dist, pred, pathmask) == (want_dist, want_pred, want_pathmask)
             for u in range(n):
@@ -502,6 +511,12 @@ class TestShortestPathTree:
                 while top not in (-1, root) and pred[top] != root:
                     top = pred[top]
                 assert branch[u] == top
+            # every reached vertex but root, once each, after its parent
+            reached = [u for u in range(n) if u != root and dist[u] is not None]
+            assert sorted(changed) == reached
+            assert (tree is empty) == (not reached)
+            for i, v in enumerate(changed):
+                assert pred[v] not in changed[i:]
 
 
 @st.composite
@@ -572,6 +587,28 @@ class TestTreeUpdate:
                     assert (new is old) == (not moved)
                     for i, v in enumerate(changed):
                         assert new[1][v] not in changed[i:]
+
+
+    def test_tie_that_moves_a_parent_redoes_the_vertices_settled_below_it(self):
+        # from root 0, the first step reaches 2 through 3; the second
+        # step's edge 0-2 ties that distance and moves pred[2] to 0, and
+        # 4, first reached then through 2, is settled below it in the scan
+        n = 5
+        ends = [(0, 3), (2, 3), (0, 2), (2, 4)]
+        imu = [2, 2, 4, 4]
+        adj = [[] for _ in range(n)]
+        tree = ([0] + [None] * (n - 1), [-1] * n, [0] + [-1] * (n - 1), [0] * n)
+        for new in (range(2), range(2, 4)):
+            for p in new:
+                a, b = ends[p]
+                adj[a].append((b, imu[p], p))
+                adj[b].append((a, imu[p], p))
+            tree, changed = _insert(tree, adj, 0, new, ends, imu)
+        dist, pred, branch, pathmask = tree
+        want_dist, want_pred, _, want_pathmask = reference_sp_tree(adj, n, 0)
+        assert (dist, pred, pathmask) == (want_dist, want_pred, want_pathmask)
+        assert branch == [0, -1, 2, 3, 2]
+        assert changed == [2, 4]
 
 
 class TestSelection:
@@ -704,9 +741,6 @@ class TestHortonSweep:
             for old, tree in zip(before, sweep._trees):
                 if tree is old:
                     continue
-                if old is None:
-                    want += view.n_edges
-                    continue
                 changed = {v for v in range(g.n_vertices) if old[3][v] != tree[3][v]}
                 edges = [
                     p
@@ -735,8 +769,9 @@ class TestHortonSweep:
         largest = max(len(source_counts(v, mu_of(v, None))) for v in views)
         steps, n = len(results), g.n_vertices
         # from fresh trees: the trees and vertices whose paths change
-        # between consecutive views
-        paths = []
+        # between consecutive views, starting from the empty view, where
+        # every path is empty
+        paths = [[[0] * n for _ in range(n)]]
         for view in views:
             adj = view_adjacency(view)
             paths.append([reference_sp_tree(adj, n, root)[3] for root in range(n)])
@@ -746,11 +781,11 @@ class TestHortonSweep:
                 changed = sum(a != b for a, b in zip(was, now))
                 updated += changed > 0
                 moved += changed
-        assert 0 < updated < (steps - 1) * n
+        assert 0 < updated < steps * n
         msg = records[0].getMessage()
         assert msg.startswith(
             f"Horton sweep: {steps} steps, {updated} of {steps * n} trees updated "
-            f"in place, {n} built whole, {moved} vertex paths changed, "
+            f"in place, {moved} vertex paths changed, "
         )
         tested = re.search(r", (\d+) of (\d+) edges re-tested, ", msg)
         assert tested is not None
