@@ -2,7 +2,8 @@
 
 Only vertices, edges and triangles are built: homology in degree 1 needs
 nothing above the 2-skeleton. Each distinct edge weight is replaced by
-its rank in the sorted weights; edges are ordered by (rank, vertex pair)
+its rank in the sorted weights, which the graph computes once
+(``WeightedGraph.ranking``); edges are ordered by (rank, vertex pair)
 and triangles are reduced in (largest edge rank, vertex triple) order,
 so a triangle enters at its largest edge weight. Ranks are monotone in
 weight, so the complex at a smaller threshold is a prefix of both
@@ -22,19 +23,20 @@ the full reduction.
 
 Triangles are found in filtration order. A triangle enters with its
 last edge: walking the edge positions once with neighbor bitsets over
-the edges already seen, edge (u, v) closes one triangle per common
-neighbor of u and v. Only the triangles of one rank are then sorted,
-by vertex triple, since that order fixes the reduced columns. Each
-column is reduced as soon as it is found, under a pivot bound:
-``first`` is the smallest non-tree position that is no column's pivot
-yet. Any sum of boundary columns is a cycle, and a cycle's last edge
-closes it over earlier edges, so it is a non-tree position. A column
-whose pivot falls below ``first`` can therefore only reduce to zero,
-and a triangle whose last edge already lies below ``first`` is never
-turned into a column at all. On dense graphs almost every column is
-one of these. Only the nonzero columns are kept, at most one per
-non-tree edge, with a count of the triangles per rank: the triangles
-themselves are dropped once their rank is reduced.
+the edges already seen, edge (u, v) at position p closes one triangle
+per common neighbor t, each with its low, its last edge, at p. Their
+vertex triples ascend with t, so a rank's triangles come in vertex
+triple order by merging its edges' streams on a small heap; no list of
+triangles is built or sorted. Each column is reduced as soon as it is
+found, under a pivot bound: ``first`` is the smallest non-tree
+position that is no column's pivot yet. Any sum of boundary columns is
+a cycle, and a cycle's last edge closes it over earlier edges, so it is
+a non-tree position. A column whose pivot falls below ``first`` can
+therefore only reduce to zero. ``first`` only grows, so once it passes
+p the rest of edge p's stream is dropped unbuilt, and an edge already
+below it when its rank starts gets no stream. On dense graphs almost
+every triangle goes this way. Only the nonzero columns are kept, at
+most one per non-tree edge, with a count of the triangles per rank.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heapreplace
 from operator import itemgetter
 
-from .graph import WeightedGraph, sorted_weights
+from .graph import WeightedGraph
 
 __all__ = ["FlagComplex2", "flag_complex_at"]
 
@@ -134,13 +137,16 @@ class FlagComplex2:
 
 def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
     """2-truncated flag complex at threshold epsilon (edges with w <= epsilon)."""
-    weights = sorted_weights(w for _, _, w in g.edges if w <= epsilon)
-    rank = {w: r for r, w in enumerate(weights)}
-    edges = sorted(
-        (rank[w], u, v, i) for i, (u, v, w) in enumerate(g.edges) if w <= epsilon
+    all_weights, all_ranks = g.ranking
+    r_end = bisect_right(all_weights, epsilon)  # ranks below it are kept
+    # ids ascend in (u, v) order and the sort is stable
+    ids = sorted(
+        (i for i, r in enumerate(all_ranks) if r < r_end), key=all_ranks.__getitem__
     )
-    m = len(edges)
-    pos = {(u, v): p for p, (_, u, v, _) in enumerate(edges)}
+    ranks = [all_ranks[i] for i in ids]
+    ends = [g.edges[i][:2] for i in ids]
+    m = len(ids)
+    pos = {uv: p for p, uv in enumerate(ends)}
 
     # Kruskal in position order, then root-to-vertex path masks in the
     # forest: a non-tree edge closes the cycle of the two paths
@@ -155,7 +161,7 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
     tree = 0
     in_tree = [False] * m
     forest: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
-    for p, (_, u, v, _) in enumerate(edges):
+    for p, (u, v) in enumerate(ends):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
@@ -183,32 +189,45 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
     nbr = [0] * g.n_vertices  # neighbor bitsets over the edges seen
     owned: dict[int, int] = {}  # pivot position -> its reduced column
     first = next((p for p, t in enumerate(in_tree) if not t), m)
+
+    def stream(common: int, q: int) -> tuple[tuple[int, int, int], int, int, int]:
+        """Heap entry for the lowest of the common neighbors left to edge
+        q: (vertex triple, that neighbor, the neighbors after it, q)."""
+        u, v = ends[q]
+        t = (common & -common).bit_length() - 1
+        triple = (t, u, v) if t < u else (u, t, v) if t < v else (u, v, t)
+        return triple, t, common & (common - 1), q
+
     triangle_counts: list[int] = []
     columns: list[tuple[int, int]] = []
     n_triangles = 0
     p = 0
     while p < m:
-        r = edges[p][0]
-        closing = []  # (vertex triple, its last edge) of rank r
-        while p < m and edges[p][0] == r:
-            _, u, v, _ = edges[p]
+        r = ranks[p]
+        heap = []
+        while p < m and ranks[p] == r:
+            u, v = ends[p]
             common = nbr[u] & nbr[v]
-            while common:
-                t = (common & -common).bit_length() - 1
-                common ^= 1 << t
-                closing.append(
-                    ((t, u, v) if t < u else (u, t, v) if t < v else (u, v, t), p)
-                )
+            n_triangles += common.bit_count()
+            if common and p >= first:
+                heap.append(stream(common, p))
             nbr[u] |= 1 << v
             nbr[v] |= 1 << u
             p += 1
-        n_triangles += len(closing)
         triangle_counts.append(n_triangles)
-        closing.sort()
-        for (a, b, c), low in closing:
-            if low < first:
+        heapify(heap)
+        while heap:
+            _, t, rest, q = heap[0]
+            if q < first:  # so are all of edge q's triangles still to come
+                heappop(heap)
                 continue
-            col = (1 << pos[(a, b)]) | (1 << pos[(a, c)]) | (1 << pos[(b, c)])
+            u, v = ends[q]
+            col = (
+                (1 << q)
+                | (1 << pos[(t, u) if t < u else (u, t)])
+                | (1 << pos[(t, v) if t < v else (v, t)])
+            )
+            low = q
             while low >= first and low in owned:
                 col ^= owned[low]
                 low = col.bit_length() - 1
@@ -218,18 +237,22 @@ def flag_complex_at(g: WeightedGraph, epsilon: Fraction) -> FlagComplex2:
                 # moves only once the position it names is a pivot
                 while first < m and (in_tree[first] or first in owned):
                     first += 1
+            if rest:
+                heapreplace(heap, stream(rest, q))
+            else:
+                heappop(heap)
 
     return FlagComplex2(
         epsilon=epsilon,
         graph=g,
-        weights=weights,
-        edge_ids=tuple(e[3] for e in edges),
-        edge_ranks=tuple(e[0] for e in edges),
+        weights=all_weights[:r_end],
+        edge_ids=tuple(ids),
+        edge_ranks=tuple(ranks),
         triangle_counts=tuple(triangle_counts),
         tree=tree,
         cycles=tuple(
             0 if in_tree[p] else path[u] ^ path[v] ^ (1 << p)
-            for p, (_, u, v, _) in enumerate(edges)
+            for p, (u, v) in enumerate(ends)
         ),
         columns=tuple(columns),
     )

@@ -1,9 +1,13 @@
 """Weighted-graph model, file ingestion, and filtration extraction.
 
 Weights are exact rationals throughout. Decimal strings parse exactly
-(``"0.3"`` becomes 3/10), floats convert to their exact binary value,
-so equality of weights is decidable and tie handling never depends on
-an epsilon.
+(``"0.3"`` becomes 3/10), with integer arithmetic into a ``Fraction``;
+floats convert to their exact binary value, so equality of weights is
+decidable and tie handling never depends on an epsilon. Each graph
+sorts its weights once (``WeightedGraph.ranking``): the distinct weights
+ascending and every edge's integer rank among them. The filtration's
+steps and every flag complex are read off that ranking, and code that
+holds two ranks compares them, not the weights.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 __all__ = [
@@ -27,7 +32,6 @@ __all__ = [
     "serialize_edge_list",
     "orient_filtration",
     "build_filtration",
-    "sorted_weights",
 ]
 
 # Largest tolerated |a_ij - a_ji| when reading adjacency matrices.
@@ -38,45 +42,80 @@ ADJACENCY_SYMMETRY_TOL = Fraction(1, 10**12)
 # past the edge count would otherwise allocate that much memory.
 MAX_VERTICES = 100_000
 
-# Largest decimal exponent accepted in a weight string. Fraction builds
-# 10**exponent, so "1e99999999" would take minutes. A mantissa holds at
+# Largest decimal exponent accepted in a weight string. Building
+# 10**exponent for "1e99999999" would take minutes. A mantissa holds at
 # most 4300 digits on each side of the point (Python's int limit), so a
-# nonzero weight past this exponent is outside the float range. The
-# exponent may group its digits with underscores, as Fraction accepts;
-# int() parses those too and rejects malformed groups.
+# nonzero weight past this exponent is outside the float range.
 _MAX_EXPONENT = 10_000
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
+# The grammar Python 3.11's ``Fraction(str)`` accepts: whitespace and a
+# sign, then p/q, or a decimal with an optional exponent, with digits
+# grouped by single underscores. Matched once, and the weight is built
+# from the ints of its groups.
+_WEIGHT = re.compile(
+    r"""
+    \A\s*(?P<sign>[-+]?)
+    (?=\d|\.\d)
+    (?P<num>\d*|\d+(?:_\d+)*)
+    (?:
+        /(?P<denom>\d+(?:_\d+)*)
+      |
+        (?:\.(?P<decimal>\d*|\d+(?:_\d+)*))?
+        (?:E(?P<exp>[-+]?\d+(?:_\d+)*))?
+    )
+    \s*\Z
+    """,
+    re.VERBOSE | re.IGNORECASE,
+)
 
 
 class GraphFormatError(ValueError):
     """Input text cannot be parsed into a valid weighted graph."""
 
 
+def _parse_weight(text: str) -> Fraction:
+    """The exact value of a rational string, as ``Fraction(text)`` reads
+    it, with the exponent bounded by ``_MAX_EXPONENT``."""
+    m = _WEIGHT.match(text)
+    if m is None:
+        raise ValueError("not a rational number")
+    sign, num, denom, decimal, exp = m.groups()
+    numerator, denominator = int(num or "0"), int(denom or "1")
+    if decimal:  # a p/q match has no decimal and no exponent
+        decimal = decimal.replace("_", "")
+        denominator = 10 ** len(decimal)
+        numerator = numerator * denominator + int(decimal)
+    if exp:
+        e = int(exp)
+        if abs(e) > _MAX_EXPONENT:
+            raise ValueError("decimal exponent out of range")
+        if e >= 0:
+            numerator *= 10**e
+        else:
+            denominator *= 10**-e
+    return Fraction(-numerator if sign == "-" else numerator, denominator)
+
+
 def as_weight(value: object) -> Fraction:
     """Convert a parsed token to an exact nonnegative weight.
 
-    Strings go through ``Fraction`` directly, so decimal notation is
+    Strings are read in ``Fraction``'s syntax, so decimal notation is
     exact. Floats convert to their exact binary rational. Negative or
     non-finite values are rejected, and so are values too large for a
     float, because every writer emits a float column next to the exact
     one.
     """
     try:
-        if isinstance(value, float):
+        if isinstance(value, str):
+            w = _parse_weight(value)
+        elif isinstance(value, (int, float, Fraction)):
             w = Fraction(value)  # raises on nan/inf
-        elif isinstance(value, (int, Fraction)):
-            w = Fraction(value)
-        elif isinstance(value, str):
-            exp = _EXPONENT.search(value)
-            if exp and abs(int(exp.group(1))) > _MAX_EXPONENT:
-                raise ValueError("decimal exponent out of range")
-            w = Fraction(value.strip())
         else:
             raise TypeError(f"unsupported weight type {type(value).__name__}")
-        float(w)  # OverflowError past the float range
+        w.numerator / w.denominator  # OverflowError past the float range
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise GraphFormatError(f"bad weight {value!r}: {exc}") from None
-    if w < 0:
+    if w.numerator < 0:
         raise GraphFormatError(f"negative weight {value!r}")
     return w
 
@@ -110,13 +149,33 @@ class WeightedGraph:
                 if (u, v) == prev:
                     raise GraphFormatError(f"duplicate edge ({u},{v})")
                 raise GraphFormatError("edges not sorted canonically")
-            if not isinstance(w, Fraction) or w < 0:
+            if not isinstance(w, Fraction) or w.numerator < 0:
                 raise GraphFormatError(f"edge ({u},{v}) weight {w!r} invalid")
             prev = (u, v)
 
     @property
     def n_edges(self) -> int:
         return len(self.edges)
+
+    @cached_property
+    def ranking(self) -> tuple[tuple[Fraction, ...], tuple[int, ...]]:
+        """``(weights, ranks)``: the distinct edge weights, ascending, and
+        each edge's rank, its index into ``weights``, in edge id order.
+
+        Computed once per graph. The sort compares weights as floats
+        wherever the floats differ and exactly where they tie, so equal
+        weights end up adjacent and merge without hashing a ``Fraction``.
+        """
+        keys = [_weight_key(w) for _, _, w in self.edges]
+        weights: list[Fraction] = []
+        ranks = [0] * len(keys)
+        prev = None
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            if keys[i] != prev:
+                prev = keys[i]
+                weights.append(prev[1])
+            ranks[i] = len(weights) - 1
+        return tuple(weights), tuple(ranks)
 
     def max_weight(self) -> Fraction:
         if not self.edges:
@@ -264,34 +323,32 @@ class Filtration:
 
     def __post_init__(self) -> None:
         steps = self.steps
-        if not all(a < b for a, b in zip(steps, steps[1:])):
+        # the graph's own ranked weights increase by construction; only
+        # steps from elsewhere are compared as Fractions
+        if steps is not self.source.ranking[0] and not all(
+            a < b for a, b in zip(steps, steps[1:])
+        ):
             raise GraphFormatError("filtration steps must be strictly increasing")
 
 
 def _weight_key(w: Fraction) -> tuple[float, Fraction]:
-    # Fraction -> float is correctly rounded, hence monotone, so the
-    # exact compare runs only between weights that round to one float
+    # int / int is correctly rounded, hence monotone, so the exact
+    # compare runs only between weights that round to one float
     try:
-        return (float(w), w)
+        return (w.numerator / w.denominator, w)
     except OverflowError:  # a directly built graph may hold any rational
         return (math.inf, w)
 
 
-def sorted_weights(weights: Iterable[Fraction]) -> tuple[Fraction, ...]:
-    """The distinct weights, ascending, ordered exactly but compared as
-    floats wherever the floats differ."""
-    return tuple(sorted(set(weights), key=_weight_key))
-
-
 def build_filtration(g: WeightedGraph) -> Filtration:
-    """Extract the filtration: sorted distinct weights as steps.
+    """Extract the filtration: the graph's ranked weights as steps.
 
     An empty edge set gives the degenerate single-step filtration at 0
     (vertices only); downstream scaffolds are then empty.
     """
     if not g.edges:
         return Filtration(source=g, steps=(Fraction(0),))
-    return Filtration(source=g, steps=sorted_weights(w for _, _, w in g.edges))
+    return Filtration(source=g, steps=g.ranking[0])
 
 
 def orient_filtration(g: WeightedGraph, direction: str) -> WeightedGraph:

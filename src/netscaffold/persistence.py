@@ -9,8 +9,10 @@ generator; a triangle whose column reduces to zero would only start a
 dim-2 class, so the complex keeps none of those.
 Each non-tree edge no column kills is born essential, with its
 fundamental cycle as generator. Zero-persistence pairs are dropped
-(exact equality, no tolerance). The Betti numbers at a list of steps
-are the bars alive at each, counted in one batch (``bars_alive_at``).
+(exact equality, no tolerance). A birth and a death are compared, and
+the bars sorted, by the weights' ranks in the complex, which order as
+the weights do. The Betti numbers at a list of steps are the bars alive
+at each, counted in one batch (``bars_alive_at``).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .complexes import FlagComplex2, flag_complex_at
 from .graph import Filtration
@@ -66,43 +69,37 @@ def compute_persistence(f: Filtration) -> Barcode:
             edges=ids, length_mu=sum((g.edges[e][2] for e in ids), Fraction(0))
         )
 
-    pairs: list[PersistencePair] = []
+    # (key, bar) with key (dim, birth rank, death rank, generator edges)
+    never = len(cx.weights)  # the rank of a death that never comes
+    keyed: list[tuple[tuple, PersistencePair]] = []
     for p in range(cx.n_edges):
         if (cx.tree >> p) & 1 and cx.edge_weight(p) != 0:
-            pairs.append(
-                PersistencePair(dim=0, birth=Fraction(0), death=cx.edge_weight(p))
-            )
-    pairs.extend(
-        [PersistencePair(dim=0, birth=Fraction(0), death=None)]
-        * (g.n_vertices - cx.tree.bit_count())
+            bar = PersistencePair(dim=0, birth=Fraction(0), death=cx.edge_weight(p))
+            keyed.append(((0, 0, cx.edge_ranks[p], ()), bar))
+    essential = PersistencePair(dim=0, birth=Fraction(0), death=None)
+    keyed.extend(
+        [((0, 0, never, ()), essential)] * (g.n_vertices - cx.tree.bit_count())
     )
     killed: set[int] = set()
     for r, col in cx.columns:
         p = col.bit_length() - 1  # its low
         killed.add(p)
-        birth, death = cx.edge_weight(p), cx.weights[r]
-        if birth != death:
-            pairs.append(
-                PersistencePair(dim=1, birth=birth, death=death, generator=cycle(col))
+        if cx.edge_ranks[p] != r:
+            gen = cycle(col)
+            bar = PersistencePair(
+                dim=1, birth=cx.edge_weight(p), death=cx.weights[r], generator=gen
             )
+            keyed.append(((1, cx.edge_ranks[p], r, gen.edges), bar))
     for p, mask in enumerate(cx.cycles):
         if mask and p not in killed:
-            pairs.append(
-                PersistencePair(
-                    dim=1, birth=cx.edge_weight(p), death=None, generator=cycle(mask)
-                )
+            gen = cycle(mask)
+            bar = PersistencePair(
+                dim=1, birth=cx.edge_weight(p), death=None, generator=gen
             )
+            keyed.append(((1, cx.edge_ranks[p], never, gen.edges), bar))
 
-    pairs.sort(
-        key=lambda p: (
-            p.dim,
-            p.birth,
-            p.death is None,
-            p.death if p.death is not None else Fraction(0),
-            p.generator.edges if p.generator is not None else (),
-        )
-    )
-    return Barcode(pairs=tuple(pairs), complex=cx)
+    keyed.sort(key=itemgetter(0))
+    return Barcode(pairs=tuple(bar for _, bar in keyed), complex=cx)
 
 
 def bars_alive_at(barcode: Barcode, steps: Sequence[Fraction], dim: int) -> list[int]:

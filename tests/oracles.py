@@ -13,8 +13,14 @@ integer-scaled ones. ``reference_reduced`` does use highest-bit
 pivots, because the left-to-right reduction is what it pins down: it
 rebuilds the triangles by brute force (``triangle_order``), their
 boundary columns by scanning the edges, and reduces every column to
-the end, with no pivot bound. Slow on purpose; only run on small
-inputs.
+the end, with no pivot bound. ``reference_weight`` reads a weight
+string through ``Fraction(str)``, as ``as_weight`` did before it built
+weights from its own match. ``reference_flag_complex`` is the
+flag complex build as it was before the graph ranked its own weights:
+it hashes the weights into ranks, collects each rank's triangles as
+tuples, sorts them by vertex triple and reduces them under the pivot
+bound, so the streamed build must reproduce every field it fills.
+Slow on purpose; only run on small inputs.
 
 The exceptions are the adapters at the end, which only reshape what
 the package returns: the Horton pool that a sweep's trees give, the
@@ -26,12 +32,14 @@ vertex ids through ``make_graph`` for the invariance tests.
 from __future__ import annotations
 
 import heapq
+import re
 from collections import Counter, deque
 from fractions import Fraction
 from itertools import combinations, groupby
 
 import numpy as np
 
+from netscaffold.complexes import FlagComplex2
 from netscaffold.graph import make_graph
 from netscaffold.minbasis import Cycle, HortonSweep, _hits
 
@@ -172,6 +180,122 @@ def reference_columns(cx) -> tuple[tuple[int, int], ...]:
         (rank, col)
         for (rank, _), col in zip(triangle_order(cx), reference_reduced(cx))
         if col
+    )
+
+
+def reference_weight(text: str) -> Fraction:
+    """A weight string's value as ``Fraction(text.strip())`` reads it.
+    A decimal exponent past 10,000 is refused before it is expanded, and
+    so are a negative value and one past the float range. Raises
+    ``ValueError``, ``ZeroDivisionError`` or ``OverflowError``."""
+    exp = re.search(r"e([-+]?[\d_]+)\s*\Z", text, re.IGNORECASE)
+    if exp and abs(int(exp.group(1))) > 10_000:
+        raise ValueError("decimal exponent out of range")
+    w = Fraction(text.strip())
+    float(w)
+    if w < 0:
+        raise ValueError("negative weight")
+    return w
+
+
+def reference_flag_complex(g, epsilon: Fraction) -> FlagComplex2:
+    """``flag_complex_at(g, epsilon)`` by the sort-then-reduce build: the
+    triangles of one rank are all built as ((a, b, c), low) tuples, sorted
+    by vertex triple and then reduced, skipping those whose low lies
+    below the pivot bound ``first`` (see the ``complexes`` docstring)."""
+    weights = tuple(sorted({w for _, _, w in g.edges if w <= epsilon}))
+    rank = {w: r for r, w in enumerate(weights)}
+    edges = sorted(
+        (rank[w], u, v, i) for i, (u, v, w) in enumerate(g.edges) if w <= epsilon
+    )
+    m = len(edges)
+    pos = {(u, v): p for p, (_, u, v, _) in enumerate(edges)}
+
+    parent = list(range(g.n_vertices))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    tree = 0
+    in_tree = [False] * m
+    forest: list[list[tuple[int, int]]] = [[] for _ in range(g.n_vertices)]
+    for p, (_, u, v, _) in enumerate(edges):
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            tree |= 1 << p
+            in_tree[p] = True
+            forest[u].append((v, p))
+            forest[v].append((u, p))
+    path = [0] * g.n_vertices
+    seen = [False] * g.n_vertices
+    for root in range(g.n_vertices):
+        if seen[root]:
+            continue
+        seen[root] = True
+        stack = [root]
+        while stack:
+            x = stack.pop()
+            for y, p in forest[x]:
+                if not seen[y]:
+                    seen[y] = True
+                    path[y] = path[x] | (1 << p)
+                    stack.append(y)
+
+    nbr = [0] * g.n_vertices
+    owned: dict[int, int] = {}
+    first = next((p for p, t in enumerate(in_tree) if not t), m)
+    triangle_counts: list[int] = []
+    columns: list[tuple[int, int]] = []
+    n_triangles = 0
+    p = 0
+    while p < m:
+        r = edges[p][0]
+        closing = []
+        while p < m and edges[p][0] == r:
+            _, u, v, _ = edges[p]
+            common = nbr[u] & nbr[v]
+            while common:
+                t = (common & -common).bit_length() - 1
+                common ^= 1 << t
+                closing.append(
+                    ((t, u, v) if t < u else (u, t, v) if t < v else (u, v, t), p)
+                )
+            nbr[u] |= 1 << v
+            nbr[v] |= 1 << u
+            p += 1
+        n_triangles += len(closing)
+        triangle_counts.append(n_triangles)
+        closing.sort()
+        for (a, b, c), low in closing:
+            if low < first:
+                continue
+            col = (1 << pos[(a, b)]) | (1 << pos[(a, c)]) | (1 << pos[(b, c)])
+            while low >= first and low in owned:
+                col ^= owned[low]
+                low = col.bit_length() - 1
+            if low >= first:
+                owned[low] = col
+                columns.append((r, col))
+                while first < m and (in_tree[first] or first in owned):
+                    first += 1
+
+    return FlagComplex2(
+        epsilon=epsilon,
+        graph=g,
+        weights=weights,
+        edge_ids=tuple(e[3] for e in edges),
+        edge_ranks=tuple(e[0] for e in edges),
+        triangle_counts=tuple(triangle_counts),
+        tree=tree,
+        cycles=tuple(
+            0 if in_tree[p] else path[u] ^ path[v] ^ (1 << p)
+            for p, (_, u, v, _) in enumerate(edges)
+        ),
+        columns=tuple(columns),
     )
 
 

@@ -19,6 +19,7 @@ from .oracles import (
     flag_triangles,
     gf2_rank_lowbit,
     reference_columns,
+    reference_flag_complex,
     reference_reduced,
     triangle_order,
 )
@@ -264,6 +265,62 @@ def test_complete_graph_complex_keeps_no_per_triangle_data():
         tracemalloc.stop()
     assert (cx.n_triangles, len(cx.columns)) == (34220, 1711)
     assert kept < 2 << 20
+
+
+def test_tied_complete_graph_build_peaks_low():
+    # K_120 with weights 1..3: each rank closes about 94,000 triangles,
+    # nearly all below the pivot bound. Built as tuples and sorted, one
+    # rank's triangles took the build's peak to 34 MiB, for a complex
+    # that keeps 8 MiB
+    g = complete_graph(120, "tied")
+    tracemalloc.start()
+    try:
+        cx = flag_complex_at(g, Fraction(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cx.n_triangles == 280840
+    assert peak <= 16 << 20
+
+
+@st.composite
+def weighted_flag(draw):
+    """A dense graph with distinct, tied or mostly zero weights, and a
+    threshold at one of its weights or halfway below it."""
+    n = draw(st.integers(min_value=3, max_value=10))
+    possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(
+        st.lists(
+            st.sampled_from(possible),
+            unique=True,
+            min_size=len(possible) // 2,
+            max_size=len(possible),
+        )
+    )
+    m = len(chosen)
+    ws = draw(
+        st.sampled_from(
+            [
+                st.permutations(range(1, m + 1)),
+                st.lists(st.integers(1, 3), min_size=m, max_size=m),
+                st.lists(st.sampled_from([0, 0, 1, 2]), min_size=m, max_size=m),
+            ]
+        ).flatmap(lambda kind: kind)
+    )
+    eps = draw(st.sampled_from(sorted(set(ws)))) - draw(st.sampled_from([0, Fraction(1, 2)]))
+    return make_graph(n, [(u, v, w) for (u, v), w in zip(chosen, ws)]), Fraction(eps)
+
+
+@given(weighted_flag())
+@settings(max_examples=150, deadline=None)
+def test_streamed_build_matches_the_sort_then_reduce_build(case):
+    g, eps = case
+    cx, ref = flag_complex_at(g, eps), reference_flag_complex(g, eps)
+    assert cx.columns == ref.columns
+    assert cx.triangle_counts == ref.triangle_counts
+    assert cx.cycles == ref.cycles
+    assert (cx.edge_ids, cx.edge_ranks) == (ref.edge_ids, ref.edge_ranks)
+    assert cx == ref
 
 
 @st.composite

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netscaffold.graph import (
@@ -18,11 +18,10 @@ from netscaffold.graph import (
     parse_adjacency,
     parse_edge_list,
     serialize_edge_list,
-    sorted_weights,
 )
 from netscaffold.complexes import flag_complex_at
 
-from .oracles import relabel
+from .oracles import reference_weight, relabel
 
 
 class TestWeights:
@@ -298,7 +297,13 @@ class TestFiltration:
     )
     @settings(max_examples=200, deadline=None)
     def test_weights_sort_exactly(self, ws):
-        assert sorted_weights(ws) == tuple(sorted(set(ws)))
+        # a star holds each drawn weight on its own edge
+        g = WeightedGraph(len(ws) + 1, tuple((0, i + 1, w) for i, w in enumerate(ws)))
+        steps, ranks = g.ranking
+        assert steps == tuple(sorted(set(ws)))
+        assert [steps[r] for r in ranks] == ws
+        if ws:
+            assert build_filtration(g).steps == steps
 
     def test_weights_past_the_float_range_order_exactly(self):
         # the parsers reject such weights; a graph built directly holds them
@@ -306,7 +311,9 @@ class TestFiltration:
         g = WeightedGraph(3, ((0, 1, big + 1), (0, 2, Fraction(1, 2)), (1, 2, big)))
         steps = (Fraction(1, 2), big, big + 1)
         assert build_filtration(g).steps == steps
-        assert flag_complex_at(g, big + 1).weights == steps
+        assert g.ranking == (steps, (2, 0, 1))
+        cx = flag_complex_at(g, big + 1)
+        assert (cx.weights, cx.edge_ids, cx.edge_ranks) == (steps, (1, 2, 0), (0, 1, 2))
 
     @pytest.mark.parametrize(
         "steps",
@@ -404,3 +411,73 @@ def test_filtration_steps_are_distinct_sorted_weights(g):
     if g.n_edges:
         assert f.steps == tuple(sorted({w for _, _, w in g.edges}))
     assert list(f.steps) == sorted(set(f.steps))
+
+
+def _digit_groups(sep):
+    groups = st.lists(st.text("0123456789", min_size=1, max_size=5), min_size=1, max_size=3)
+    return groups.map(sep.join)
+
+
+# digits grouped by "_", or now and then by a malformed "__"
+_DIGITS = st.sampled_from(["", "", "_", "__"]).flatmap(_digit_groups)
+
+
+@st.composite
+def weight_strings(draw):
+    """ASCII weight strings near and off the grammar Fraction reads."""
+    p, q = draw(_DIGITS), draw(_DIGITS)
+    mantissa = draw(st.sampled_from([p, f"{p}.{q}", f".{q}", f"{p}.", "."]))
+    exponent = draw(
+        st.one_of(
+            _DIGITS,
+            st.integers(0, 10_010).map(str),  # the float range, the bound
+            st.sampled_from(["", "_1", "1_", "99999999", "9" * 5000]),
+        )
+    )
+    body = draw(
+        st.sampled_from(
+            [
+                f"{p}/{q}",
+                f"{p} / {q}",
+                f"{p}/ {q}",
+                mantissa,
+                f"{mantissa}e{exponent}",
+                f"{mantissa}E-{exponent}",
+                f"{mantissa}e+{exponent}",
+                f"{p}/{q}e{exponent}",
+                "9" * 320 + f"/{q}",
+            ]
+        )
+    )
+    space = st.sampled_from(["", " ", "  ", "\t", "\n", "\r\n"])
+    sign = draw(st.sampled_from(["", "", "+", "-", "--"]))
+    return draw(space) + sign + body + draw(space)
+
+
+@given(weight_strings())
+@example("-0")
+@example("1/0")
+@example("0/0")
+@example("-0/5")
+@example("1e308")
+@example("1e309")
+@example("2e-10000")
+@example("1e-10001")
+@example("1.e5")
+@example("1.d")
+@example("1" * 4400)
+@example("inf")
+@example("nan")
+@example("0x10")
+@example("\u0661.\u0665")  # Arabic-Indic digits, as Fraction reads them
+@example("\u2003 7/2 \u3000")
+@settings(max_examples=400, deadline=None)
+def test_weight_strings_read_as_fraction_reads_them(text):
+    try:
+        expected = reference_weight(text)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        with pytest.raises(GraphFormatError):
+            as_weight(text)
+    else:
+        w = as_weight(text)
+        assert type(w) is Fraction and w == expected
